@@ -15,24 +15,14 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 import argparse
 import csv
 import io
-import logging
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .feasibility import AnalyzeConfig, analyze_csv
-from .netsim import (
-    METRICS_HEADER,
-    SimConfig,
-    generate_nodes,
-    metrics_row,
-    run_campaign,
-    snapshot_digest,
-)
+from .netsim import METRICS_HEADER, SimConfig, metrics_row, run_campaign
 from .routing import PROTOCOLS
-
-logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -104,7 +94,10 @@ def parse_config(text: str, command: str, overrides: Sequence[tuple[str, str]] =
             values[key] = parsers[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
-    config = AnalyzeConfig(**values) if command == "analyze" else SimConfig(**values)
+    return _validated(AnalyzeConfig(**values) if command == "analyze" else SimConfig(**values))
+
+
+def _validated(config):
     try:
         config.validate()
     except ValueError as exc:
@@ -152,11 +145,6 @@ def _split_override(text: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def cmd_analyze(config: AnalyzeConfig) -> str:
-    """Feasibility curve tables for both region kinds."""
-    return analyze_csv(config)
-
-
 def _campaign_csv(
     config: SimConfig,
     sweep: Optional[tuple[str, list[float]]],
@@ -165,29 +153,15 @@ def _campaign_csv(
     cells = [config]
     if sweep is not None:
         key, values = sweep
-        cells = [replace(config, **{key: value}) for value in values]
+        cells = [_validated(replace(config, **{key: value})) for value in values]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(METRICS_HEADER)
     for cell in cells:
         for protocol in protocols or (cell.protocol,):
             run_config = replace(cell, protocol=protocol)
-            run_config.validate()
-            if logger.isEnabledFor(logging.DEBUG):
-                logger.debug(
-                    "campaign protocol=%s density=%g seed=%d snapshot=%s",
-                    protocol,
-                    run_config.density,
-                    run_config.seed,
-                    snapshot_digest(generate_nodes(run_config)),
-                )
             writer.writerow(metrics_row(run_config, run_campaign(run_config)))
     return buf.getvalue()
-
-
-def cmd_simulate(config: SimConfig, sweep=None) -> str:
-    """Metrics CSV for one campaign, or one row per sweep cell."""
-    return _campaign_csv(config, sweep, None)
 
 
 def cmd_compare(config: SimConfig, sweep=None) -> str:
@@ -252,15 +226,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.command == "analyze":
                 raise ConfigError("--sweep is only valid for simulate/compare")
             sweep = _parse_sweep(args.sweep)
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        _validated(config)
 
         if args.command == "analyze":
-            output = cmd_analyze(config)
+            output = analyze_csv(config)
         elif args.command == "simulate":
-            output = cmd_simulate(config, sweep)
+            output = _campaign_csv(config, sweep, None)
         else:
             output = cmd_compare(config, sweep)
     except ConfigError as exc:

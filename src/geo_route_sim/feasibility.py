@@ -15,6 +15,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+# Most expected points per Monte Carlo trial; all trials' draws sit in memory.
+MAX_TRIAL_POINTS = 1_000_000
 
 class RegionKind(Enum):
     FULL_CIRCLE = "full_circle"
@@ -139,10 +141,15 @@ class AnalyzeConfig:
         if not self.densities:
             raise ValueError("densities must not be empty")
         for d in self.densities:
-            if not d > 0:
-                raise ValueError(f"densities must be > 0, got {d!r}")
-        if not self.tx_range > 0:
-            raise ValueError(f"tx_range must be > 0, got {self.tx_range!r}")
+            if not 0 < d < math.inf:
+                raise ValueError(f"densities must be finite and > 0, got {d!r}")
+        if not 0 < self.tx_range < math.inf:
+            raise ValueError(f"tx_range must be finite and > 0, got {self.tx_range!r}")
+        # Expected points in the Monte Carlo box, which holds the disk.
+        box_points = 4.0 * self.tx_range * self.tx_range * max(self.densities)
+        limit = math.inf if self.mc_trials is None else MAX_TRIAL_POINTS
+        if not box_points < limit:
+            raise ValueError(f"densities * (2 * tx_range)**2 must be < {limit}, got {box_points!r}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max!r}")
         if self.mc_trials is not None and self.mc_trials < 1:

@@ -9,6 +9,7 @@ placement.
 """
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,6 +27,11 @@ from .routing import (
     Vehicle,
     route,
 )
+
+logger = logging.getLogger(__name__)
+
+# Largest campaign accepted, in vehicles; each takes about 400 B per snapshot.
+MAX_NODES = 1_000_000
 
 METRICS_HEADER = [
     "protocol",
@@ -78,8 +84,8 @@ class SimConfig:
             "per_hop_latency_ms",
         ):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.speed_min > self.speed_max:
             raise ValueError(
                 f"speed_min must be <= speed_max, got {self.speed_min!r} > {self.speed_max!r}"
@@ -89,8 +95,22 @@ class SimConfig:
                 f"time_step must be <= beacon_interval, got "
                 f"{self.time_step!r} > {self.beacon_interval!r}"
             )
-        if self.node_count is not None and self.node_count < 1:
-            raise ValueError(f"node_count must be >= 1, got {self.node_count!r}")
+        if self.node_count is not None and not 1 <= self.node_count <= MAX_NODES:
+            raise ValueError(f"node_count must be in [1, {MAX_NODES}], got {self.node_count!r}")
+        expected = self.density * self.field_width * self.field_height
+        if self.node_count is None and not expected <= MAX_NODES:
+            raise ValueError(
+                f"density * field_width * field_height must be <= {MAX_NODES} vehicles, "
+                f"got {expected!r}"
+            )
+        # Motion unfolds a coordinate to field size + travel and folds it
+        # mod twice the field size; grid step numbers stay exact below 2**53.
+        travel = self.speed_max * (self.duration + self.time_step)
+        if not 2.0 * (self.field_width + self.field_height + travel) < math.inf:
+            raise ValueError(f"speed_max * (duration + time_step) overflows, got {travel!r} m")
+        steps = self.duration / self.time_step
+        if not steps < 2**53:
+            raise ValueError(f"duration / time_step must be < 2**53, got {steps!r}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.flows < 0:
@@ -142,36 +162,35 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
     ys = placement_rng.uniform(0.0, config.field_height, size=count)
     headings = motion_rng.uniform(-math.pi, math.pi, size=count)
     speeds = motion_rng.uniform(config.speed_min, config.speed_max, size=count)
+    motion = zip(xs.tolist(), ys.tolist(), speeds.tolist(), headings.tolist())
     vehicles = [
-        Vehicle(
-            id=i,
-            position=Position(float(xs[i]), float(ys[i])),
-            speed=float(speeds[i]),
-            heading=wrap_angle(float(headings[i])),
-        )
-        for i in range(count)
+        Vehicle(i, Position(x, y), speed, wrap_angle(heading))
+        for i, (x, y, speed, heading) in enumerate(motion)
     ]
     return NetworkSnapshot(vehicles, config.tx_range)
 
 
-def _advance(vehicle: Vehicle, dt: float, width: float, height: float) -> Vehicle:
-    x = vehicle.position.x + vehicle.speed * dt * math.cos(vehicle.heading)
-    y = vehicle.position.y + vehicle.speed * dt * math.sin(vehicle.heading)
-    heading = vehicle.heading
-    while not (0.0 <= x <= width and 0.0 <= y <= height):
-        if x < 0.0:
-            x = -x
-            heading = wrap_angle(math.pi - heading)
-        elif x > width:
-            x = 2.0 * width - x
-            heading = wrap_angle(math.pi - heading)
-        if y < 0.0:
-            y = -y
-            heading = wrap_angle(-heading)
-        elif y > height:
-            y = 2.0 * height - y
-            heading = wrap_angle(-heading)
-    return Vehicle(vehicle.id, Position(x, y), vehicle.speed, heading)
+def _reflect(vehicles: list[Vehicle], t: float, width: float, height: float):
+    """Positions and headings of ``vehicles`` ``t`` seconds on (``t`` may be
+    negative) along straight lines that reflect off the field edges.
+
+    Each axis is a triangle wave: the unfolded coordinate ``u`` taken mod 2W
+    lies on the outbound leg when ``u <= W`` and on the mirrored leg
+    otherwise, where the heading's component on that axis is reversed.
+    """
+    xs = np.array([v.position.x for v in vehicles])
+    ys = np.array([v.position.y for v in vehicles])
+    speeds = np.array([v.speed for v in vehicles])
+    headings = np.array([v.heading for v in vehicles])
+    ux = np.mod(xs + speeds * t * np.cos(headings), 2.0 * width)
+    uy = np.mod(ys + speeds * t * np.sin(headings), 2.0 * height)
+    flip_x = ux > width
+    flip_y = uy > height
+    headings = np.where(flip_x, math.pi - headings, headings)
+    headings = np.where(flip_y, -headings, headings)
+    xs = np.where(flip_x, 2.0 * width - ux, ux)
+    ys = np.where(flip_y, 2.0 * height - uy, uy)
+    return xs.tolist(), ys.tolist(), headings.tolist()
 
 
 def step_mobility(
@@ -182,39 +201,38 @@ def step_mobility(
     Vehicles crossing a field boundary reflect: the position folds back inside
     and the heading mirrors on the violated axis.  Speeds are untouched.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    vehicles = list(snapshot.vehicles.values())
     moved = [
-        _advance(v, dt, field_width, field_height) for v in snapshot.vehicles.values()
+        Vehicle(v.id, Position(x, y), v.speed, h)
+        for v, x, y, h in zip(vehicles, *_reflect(vehicles, dt, field_width, field_height))
     ]
     return NetworkSnapshot(moved, snapshot.transmission_range)
 
 
 def beacon_view(
-    snapshot: NetworkSnapshot, sim_time: float, beacon_interval: float
+    snapshot: NetworkSnapshot,
+    sim_time: float,
+    beacon_interval: float,
+    field_width: float,
+    field_height: float,
 ) -> dict[int, Position]:
     """Positions as of the most recent beacon tick.
 
-    Rewinds each vehicle's straight-line motion by the time elapsed since
-    ``floor(sim_time / beacon_interval) * beacon_interval``.  Routing decisions
-    consume this stale view; delivery checks stay on the snapshot's ground
-    truth.  A vehicle that reflected off a boundary since the tick is rewound
-    along its current heading, which can momentarily place its beacon position
-    just outside the field.
+    Each vehicle is moved back along its reflected path by the time elapsed
+    since ``floor(sim_time / beacon_interval) * beacon_interval``, which gives
+    its exact position at the tick.  Routing decisions consume this stale
+    view; delivery checks stay on the snapshot's ground truth.
     """
     if not beacon_interval > 0:
         raise ValueError(f"beacon_interval must be > 0, got {beacon_interval!r}")
     lag = sim_time - math.floor(sim_time / beacon_interval) * beacon_interval
-    view: dict[int, Position] = {}
-    for vid, v in snapshot.vehicles.items():
-        if lag == 0.0 or v.speed == 0.0:
-            view[vid] = v.position
-        else:
-            view[vid] = Position(
-                v.position.x - v.speed * lag * math.cos(v.heading),
-                v.position.y - v.speed * lag * math.sin(v.heading),
-            )
-    return view
+    if lag == 0.0:
+        return {vid: v.position for vid, v in snapshot.vehicles.items()}
+    vehicles = list(snapshot.vehicles.values())
+    xs, ys, _ = _reflect(vehicles, -lag, field_width, field_height)
+    return {v.id: Position(x, y) for v, x, y in zip(vehicles, xs, ys)}
 
 
 def _path_length_m(path: tuple[int, ...], snapshot: NetworkSnapshot) -> float:
@@ -225,66 +243,72 @@ def _path_length_m(path: tuple[int, ...], snapshot: NetworkSnapshot) -> float:
     )
 
 
+def _firing_step(flow_time: float, time_step: float) -> int:
+    """Smallest grid step ``s`` with ``flow_time <= s * time_step + 1e-9``; the
+    quotient is off by at most one step of rounding, which the checks settle."""
+    step = max(0, math.ceil((flow_time - 1e-9) / time_step))
+    if step and flow_time <= (step - 1) * time_step + 1e-9:
+        return step - 1
+    return step if flow_time <= step * time_step + 1e-9 else step + 1
+
+
 def run_campaign(config: SimConfig) -> CampaignMetrics:
     """Run one seeded campaign and aggregate its metrics.
 
-    Time advances in ``time_step`` increments; each of the ``flows`` attempts
-    fires at its scheduled slot (evenly spread over the duration) on the first
-    grid time at or past it, routing between a uniformly drawn distinct
-    source/destination pair using the beacon view current at that moment.
-    Flows scheduled while fewer than two vehicles exist are skipped and do not
-    count as sent.
+    Each of the ``flows`` attempts is scheduled at an even slot over the
+    duration and fires on the first ``time_step`` grid time at or past it,
+    routing between a uniformly drawn distinct source/destination pair using
+    the beacon view current at that moment.  Vehicles are moved to a grid time
+    only when a flow fires there.  With fewer than two vehicles no flow is
+    sent.
     """
-    config.validate()
+    start = generate_nodes(config)  # validates the config first
     _, _, flow_rng = _rng_streams(config.seed)
-    snapshot = generate_nodes(config)
-    flow_times = [i * config.duration / config.flows for i in range(config.flows)]
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "campaign protocol=%s density=%g seed=%d snapshot=%s",
+            config.protocol,
+            config.density,
+            config.seed,
+            snapshot_digest(start),
+        )
+    ids = sorted(start.vehicles)
+    width, height = config.field_width, config.field_height
 
-    sent = 0
     results: list[RouteResult] = []
     path_lengths: list[float] = []
-    sim_time = 0.0
-    step_index = 0
-    next_flow = 0
-    while next_flow < len(flow_times):
-        while next_flow < len(flow_times) and flow_times[next_flow] <= sim_time + 1e-9:
-            ids = sorted(snapshot.vehicles)
-            if len(ids) >= 2:
-                si = int(flow_rng.integers(len(ids)))
-                di = int(flow_rng.integers(len(ids) - 1))
-                if di >= si:
-                    di += 1
-                tick = math.floor(sim_time / config.beacon_interval) * config.beacon_interval
-                view = beacon_view(snapshot, sim_time, config.beacon_interval)
-                result = route(
-                    config.protocol,
-                    ids[si],
-                    ids[di],
-                    snapshot,
-                    now=sim_time,
-                    ttl=config.ttl,
-                    known_positions=view,
-                    known_time=tick,
-                )
-                sent += 1
-                results.append(result)
-                if result.outcome is Outcome.DELIVERED:
-                    path_lengths.append(_path_length_m(result.path, snapshot))
-            next_flow += 1
-        if next_flow >= len(flow_times):
-            break
-        step_index += 1
-        sim_time = step_index * config.time_step
-        snapshot = step_mobility(
-            snapshot, config.time_step, config.field_width, config.field_height
+    step = None
+    for i in range(config.flows if len(ids) >= 2 else 0):
+        fired = _firing_step(i * config.duration / config.flows, config.time_step)
+        if fired != step:
+            step, sim_time = fired, fired * config.time_step
+            snapshot = step_mobility(start, sim_time, width, height) if step else start
+            tick = math.floor(sim_time / config.beacon_interval) * config.beacon_interval
+            view = beacon_view(snapshot, sim_time, config.beacon_interval, width, height)
+        si = int(flow_rng.integers(len(ids)))
+        di = int(flow_rng.integers(len(ids) - 1))
+        if di >= si:
+            di += 1
+        result = route(
+            config.protocol,
+            ids[si],
+            ids[di],
+            snapshot,
+            now=sim_time,
+            ttl=config.ttl,
+            known_positions=view,
+            known_time=tick,
         )
+        results.append(result)
+        if result.outcome is Outcome.DELIVERED:
+            path_lengths.append(_path_length_m(result.path, snapshot))
 
-    delivered = sum(1 for r in results if r.outcome is Outcome.DELIVERED)
     drops = {o.value: 0 for o in DROP_OUTCOMES}
     for r in results:
         if r.outcome is not Outcome.DELIVERED:
             drops[r.outcome.value] += 1
     hops = [r.hop_count for r in results if r.outcome is Outcome.DELIVERED]
+    sent, delivered = len(results), len(hops)
     mean_hops = sum(hops) / len(hops) if hops else None
     mean_path = sum(path_lengths) / len(path_lengths) if path_lengths else None
     return CampaignMetrics(

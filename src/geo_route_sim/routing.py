@@ -65,6 +65,8 @@ class Outcome(str, Enum):
     DELIVERED = "delivered"
     VOID_DROP = "void_drop"
     TTL_DROP = "ttl_drop"
+    # Never produced (candidate filters exclude visited ids); kept so the
+    # CSV's loop_drops column stays in the schema.
     LOOP_DROP = "loop_drop"
     ZONE_UNREACHABLE = "zone_unreachable"
 
@@ -323,13 +325,12 @@ def route(
     if source_id == dest_id:
         return RouteResult(Outcome.DELIVERED, (source_id,), 0)
     current = snapshot.vehicles[source_id]
-    remaining = ttl
     while True:
         # The direct final hop is a forwarding hop too, so it needs budget.
-        if remaining >= 1 and distance(current.position, dest.position) <= snapshot.transmission_range:
+        if packet.ttl >= 1 and distance(current.position, dest.position) <= snapshot.transmission_range:
             path = tuple(packet.visited) + (dest_id,)
             return RouteResult(Outcome.DELIVERED, path, len(path) - 1)
-        if remaining <= 0:
+        if packet.ttl <= 0:
             return RouteResult(Outcome.TTL_DROP, tuple(packet.visited), len(packet.visited) - 1)
         if packet.dest_last_pos == current.position:
             # Stale knowledge led exactly onto the destination's old spot;
@@ -343,9 +344,6 @@ def route(
             nxt = dlar_next_hop(current, packet, snapshot, now, known_positions)
         if nxt is None:
             return RouteResult(Outcome.VOID_DROP, tuple(packet.visited), len(packet.visited) - 1)
-        if nxt.id in packet.visited:  # unreachable: the candidate filters exclude visited ids
-            return RouteResult(Outcome.LOOP_DROP, tuple(packet.visited), len(packet.visited) - 1)
         packet.visited.append(nxt.id)
         packet.ttl -= 1
-        remaining -= 1
         current = nxt

@@ -162,3 +162,42 @@ def random_snapshot(rng: random.Random, n=None, size=1000.0, tx=None) -> Network
         for i in range(n)
     ]
     return NetworkSnapshot(vehicles, tx)
+
+
+def advance_by_stepping(vehicle: Vehicle, dt, width, height) -> Vehicle:
+    """Move ``vehicle`` ``dt`` seconds in a straight line, folding each
+    boundary crossing back into the field one reflection at a time; the
+    heading is mirrored on each axis crossed an odd number of times."""
+    x = vehicle.position.x + vehicle.speed * dt * math.cos(vehicle.heading)
+    y = vehicle.position.y + vehicle.speed * dt * math.sin(vehicle.heading)
+    flip_x = flip_y = False
+    while not (0.0 <= x <= width and 0.0 <= y <= height):
+        if x < 0.0:
+            x = -x
+            flip_x = not flip_x
+        elif x > width:
+            x = 2.0 * width - x
+            flip_x = not flip_x
+        if y < 0.0:
+            y = -y
+            flip_y = not flip_y
+        elif y > height:
+            y = 2.0 * height - y
+            flip_y = not flip_y
+    heading = math.pi - vehicle.heading if flip_x else vehicle.heading
+    return Vehicle(vehicle.id, Position(x, y), vehicle.speed, -heading if flip_y else heading)
+
+
+def firing_steps_by_stepping(duration, flows, time_step):
+    """Grid step of each flow, found by walking the time grid one step at a
+    time and firing every flow whose slot is due."""
+    flow_times = [i * duration / flows for i in range(flows)]
+    steps = []
+    step_index = 0
+    sim_time = 0.0
+    while len(steps) < len(flow_times):
+        while len(steps) < len(flow_times) and flow_times[len(steps)] <= sim_time + 1e-9:
+            steps.append(step_index)
+        step_index += 1
+        sim_time = step_index * time_step
+    return steps

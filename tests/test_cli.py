@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from geo_route_sim.cli import (
@@ -202,6 +204,7 @@ class TestExitCodes:
     def test_bad_sweep_spec(self, capsys):
         assert run_cli(capsys, "simulate", "--sweep", "density=1:2")[0] == 1
         assert run_cli(capsys, "simulate", "--sweep", "protocol=1:2:2")[0] == 1
+        assert run_cli(capsys, "simulate", "--sweep", "density=0:1e-4:2")[0] == 1
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "k_max=1", "--out", "/nonexistent/dir/out.csv")
@@ -209,3 +212,28 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", "tx_range=inf"], "tx_range"),
+        (["simulate", "field_width=inf"], "field_width"),
+        (["simulate", "density=1e300"], "density"),
+        (["simulate", "duration=1e12", "flows=3"], "duration"),
+        (["simulate", "time_step=1e-7", "beacon_interval=1e-7", "flows=3"], "time_step"),
+        (["simulate", "speed_max=1e308"], "speed_max"),
+        (["analyze", "tx_range=inf"], "tx_range"),
+        (["analyze", "tx_range=1e200"], "tx_range"),
+        (["analyze", "densities=1e300", "--mc-trials", "10"], "densities"),
+    ],
+)
+def test_extreme_configs_finish_or_name_the_key(capsys, argv, key):
+    # Simulated time and magnitudes cost no work: each config either runs in
+    # well under a second or is rejected as a config error naming its key.
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code in (0, 1)
+    if code == 1:
+        assert key in err

@@ -1,13 +1,17 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
+import geo_route_sim.netsim as netsim
+import oracles
 from geo_route_sim.geometry import Position
 from geo_route_sim.netsim import (
     CampaignMetrics,
     METRICS_HEADER,
     SimConfig,
+    _firing_step,
     beacon_view,
     generate_nodes,
     metrics_row,
@@ -114,28 +118,141 @@ class TestStepMobility:
             step_mobility(snap, 0.0, 100, 100)
 
 
+def heading_gap(a, b):
+    return abs(math.remainder(a - b, 2 * math.pi))
+
+
+def assert_same_motion(got: NetworkSnapshot, want: list[Vehicle]):
+    for w in want:
+        g = got.vehicles[w.id]
+        assert g.position.x == pytest.approx(w.position.x, abs=1e-9)
+        assert g.position.y == pytest.approx(w.position.y, abs=1e-9)
+        assert heading_gap(g.heading, w.heading) <= 1e-12
+        assert g.speed == w.speed
+
+
+def random_movers(rng, n, width, height, speed_max):
+    return [
+        Vehicle(
+            i,
+            Position(rng.uniform(0, width), rng.uniform(0, height)),
+            rng.uniform(0.0, speed_max),
+            rng.uniform(-math.pi, math.pi),
+        )
+        for i in range(n)
+    ]
+
+
+class TestClosedFormMotion:
+    """step_mobility's closed form against the fold-one-reflection-at-a-time
+    reference of tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "width, height, speed_max, dt, steps",
+        [
+            (1000.0, 1000.0, 40.0, 0.5, 400),  # up to 8 km: several reflections each
+            (120.0, 45.0, 60.0, 0.5, 600),  # many reflections on both axes
+            (30.0, 500.0, 35.0, 2.0, 150),  # one step can cross the narrow axis twice
+        ],
+    )
+    def test_one_long_move_equals_many_steps(self, width, height, speed_max, dt, steps):
+        rng = random.Random(steps)
+        vehicles = random_movers(rng, 25, width, height, speed_max)
+        stepped = list(vehicles)
+        for _ in range(steps):
+            stepped = [oracles.advance_by_stepping(v, dt, width, height) for v in stepped]
+        moved = step_mobility(NetworkSnapshot(vehicles, 100), dt * steps, width, height)
+        assert_same_motion(moved, stepped)
+
+    @pytest.mark.parametrize("dt", [3.7, 250.0, 10_000.0])
+    def test_dt_much_larger_than_the_field(self, dt):
+        width, height = 80.0, 55.0
+        vehicles = random_movers(random.Random(int(dt)), 25, width, height, 30.0)
+        moved = step_mobility(NetworkSnapshot(vehicles, 100), dt, width, height)
+        assert_same_motion(
+            moved, [oracles.advance_by_stepping(v, dt, width, height) for v in vehicles]
+        )
+
+    def test_corner_hit_mirrors_both_axes(self):
+        snap = NetworkSnapshot([Vehicle(0, Position(90, 90), math.sqrt(2) * 20, math.pi / 4)], 100)
+        v = step_mobility(snap, 1.0, 100, 100).vehicles[0]
+        assert v.position.x == pytest.approx(90.0)
+        assert v.position.y == pytest.approx(90.0)
+        assert heading_gap(v.heading, -3 * math.pi / 4) <= 1e-12
+
+
+class TestFiringSteps:
+    @pytest.mark.parametrize(
+        "duration, flows, time_step",
+        [
+            (41.0, 37, 0.3),
+            (30.0, 50, 0.5),
+            (7.5, 50, 0.5),
+            (60.0, 6, 0.5),
+            (1.0, 3, 0.1),
+            (10.0, 7, 1 / 3),
+            (0.7, 13, 0.07),
+            (2.0, 1000, 0.001),
+            (5.0, 9, 5.0),
+            (1e-3, 11, 1e-4),
+        ],
+    )
+    def test_matches_walking_the_grid(self, duration, flows, time_step):
+        steps = [_firing_step(i * duration / flows, time_step) for i in range(flows)]
+        assert steps == oracles.firing_steps_by_stepping(duration, flows, time_step)
+
+    def test_moves_only_when_a_flow_fires(self, monkeypatch):
+        calls = []
+        real = netsim.step_mobility
+        monkeypatch.setattr(
+            netsim, "step_mobility", lambda snap, dt, *a: calls.append(dt) or real(snap, dt, *a)
+        )
+        run_campaign(small_config(duration=60.0, flows=6))
+        assert calls == [10.0, 20.0, 30.0, 40.0, 50.0]
+
+
 class TestBeaconView:
     def test_exact_tick_equals_ground_truth(self):
         snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 10.0, 0.0)], 100)
-        view = beacon_view(snap, 3.0, 1.0)
+        view = beacon_view(snap, 3.0, 1.0, 1000, 1000)
         assert view[0] == Position(100, 50)
 
     def test_stationary_nodes_never_lag(self):
         snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 0.0, 1.2)], 100)
-        assert beacon_view(snap, 3.43, 1.0)[0] == Position(100, 50)
+        assert beacon_view(snap, 3.43, 1.0, 1000, 1000)[0] == Position(100, 50)
 
     def test_mid_interval_lag(self):
         # Vehicle moving +x at 10 m/s, observed 0.7 s after the last beacon:
         # the view trails by 7 m.
         snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 10.0, 0.0)], 100)
-        view = beacon_view(snap, 1.7, 1.0)
+        view = beacon_view(snap, 1.7, 1.0, 1000, 1000)
         assert view[0].x == pytest.approx(93.0, abs=1e-9)
         assert view[0].y == pytest.approx(50.0)
+
+    def test_tick_before_a_reflection_is_inside_the_field(self):
+        # Heading +x at 10 m/s from x=993 at the 1.0 s tick, the vehicle hits
+        # x=1000 at 1.7 s and is back at x=998, heading -x, at 1.9 s.
+        snap = NetworkSnapshot([Vehicle(0, Position(993, 50), 10.0, 0.0)], 100)
+        moved = step_mobility(snap, 0.9, 1000, 1000)
+        assert moved.vehicles[0].position.x == pytest.approx(998.0)
+        view = beacon_view(moved, 1.9, 1.0, 1000, 1000)
+        assert view[0].x == pytest.approx(993.0, abs=1e-9)
+        assert view[0].y == pytest.approx(50.0)
+
+    def test_positions_stay_inside_the_field_after_reflections(self):
+        config = small_config(node_count=300, speed_min=20.0, speed_max=40.0)
+        snap = generate_nodes(config)
+        for step in range(1, 40):
+            snap = step_mobility(snap, 0.5, config.field_width, config.field_height)
+            view = beacon_view(snap, step * 0.5, 1.0, config.field_width, config.field_height)
+            for pos in view.values():
+                assert 0.0 <= pos.x <= config.field_width
+                assert 0.0 <= pos.y <= config.field_height
 
     def test_rejects_bad_interval(self):
         snap = NetworkSnapshot([Vehicle(0, Position(0, 0))], 100)
         with pytest.raises(ValueError):
-            beacon_view(snap, 1.0, 0.0)
+            beacon_view(snap, 1.0, 0.0, 1000, 1000)
 
 
 class TestRunCampaign:

@@ -150,6 +150,8 @@ def _campaign_csv(
     sweep: Optional[tuple[str, list[float]]],
     protocols: Optional[Sequence[str]],
 ) -> str:
+    """Metrics CSV, one row per sweep cell and protocol (default: the cell's);
+    the rows of one cell share placements and flows, which depend on the seed."""
     cells = [config]
     if sweep is not None:
         key, values = sweep
@@ -162,15 +164,6 @@ def _campaign_csv(
             run_config = replace(cell, protocol=protocol)
             writer.writerow(metrics_row(run_config, run_campaign(run_config)))
     return buf.getvalue()
-
-
-def cmd_compare(config: SimConfig, sweep=None) -> str:
-    """Metrics CSV with the identical seeded campaign run once per protocol.
-
-    Placement and flow streams depend only on the seed, never the protocol,
-    so all three rows of a cell share node positions and flow schedules.
-    """
-    return _campaign_csv(config, sweep, PROTOCOLS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -230,10 +223,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "analyze":
             output = analyze_csv(config)
-        elif args.command == "simulate":
-            output = _campaign_csv(config, sweep, None)
         else:
-            output = cmd_compare(config, sweep)
+            protocols = PROTOCOLS if args.command == "compare" else None
+            output = _campaign_csv(config, sweep, protocols)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Position, distance, wrap_angle
+from .geometry import distance, wrap_angle
 from .routing import (
     DEFAULT_TTL,
     DROP_OUTCOMES,
@@ -24,13 +24,12 @@ from .routing import (
     Outcome,
     PROTOCOLS,
     RouteResult,
-    Vehicle,
     route,
 )
 
 logger = logging.getLogger(__name__)
 
-# Largest campaign accepted, in vehicles; each takes about 400 B per snapshot.
+# Largest campaign accepted, in vehicles; each takes 40 B per snapshot.
 MAX_NODES = 1_000_000
 
 METRICS_HEADER = [
@@ -162,35 +161,33 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
     ys = placement_rng.uniform(0.0, config.field_height, size=count)
     headings = motion_rng.uniform(-math.pi, math.pi, size=count)
     speeds = motion_rng.uniform(config.speed_min, config.speed_max, size=count)
-    motion = zip(xs.tolist(), ys.tolist(), speeds.tolist(), headings.tolist())
-    vehicles = [
-        Vehicle(i, Position(x, y), speed, wrap_angle(heading))
-        for i, (x, y, speed, heading) in enumerate(motion)
-    ]
-    return NetworkSnapshot(vehicles, config.tx_range)
+    # Headings are wrapped twice, the sequence seeded campaigns have always
+    # used, so their output stays byte-identical.
+    return NetworkSnapshot.from_columns(
+        config.tx_range, np.arange(count), xs, ys, speeds, wrap_angle(wrap_angle(headings))
+    )
 
 
-def _reflect(vehicles: list[Vehicle], t: float, width: float, height: float):
-    """Positions and headings of ``vehicles`` ``t`` seconds on (``t`` may be
-    negative) along straight lines that reflect off the field edges.
+def _reflect(snapshot: NetworkSnapshot, t: float, width: float, height: float) -> NetworkSnapshot:
+    """``snapshot`` ``t`` seconds on (``t`` may be negative), every vehicle
+    moving along a straight line that reflects off the field edges.
 
     Each axis is a triangle wave: the unfolded coordinate ``u`` taken mod 2W
     lies on the outbound leg when ``u <= W`` and on the mirrored leg
     otherwise, where the heading's component on that axis is reversed.
     """
-    xs = np.array([v.position.x for v in vehicles])
-    ys = np.array([v.position.y for v in vehicles])
-    speeds = np.array([v.speed for v in vehicles])
-    headings = np.array([v.heading for v in vehicles])
-    ux = np.mod(xs + speeds * t * np.cos(headings), 2.0 * width)
-    uy = np.mod(ys + speeds * t * np.sin(headings), 2.0 * height)
+    speed, heading = snapshot.speed, snapshot.heading
+    ux = np.mod(snapshot.x + speed * t * np.cos(heading), 2.0 * width)
+    uy = np.mod(snapshot.y + speed * t * np.sin(heading), 2.0 * height)
     flip_x = ux > width
     flip_y = uy > height
-    headings = np.where(flip_x, math.pi - headings, headings)
-    headings = np.where(flip_y, -headings, headings)
-    xs = np.where(flip_x, 2.0 * width - ux, ux)
-    ys = np.where(flip_y, 2.0 * height - uy, uy)
-    return xs.tolist(), ys.tolist(), headings.tolist()
+    heading = np.where(flip_x, math.pi - heading, heading)
+    heading = np.where(flip_y, -heading, heading)
+    x = np.where(flip_x, 2.0 * width - ux, ux)
+    y = np.where(flip_y, 2.0 * height - uy, uy)
+    return NetworkSnapshot.from_columns(
+        snapshot.transmission_range, snapshot.ids, x, y, speed, wrap_angle(heading)
+    )
 
 
 def step_mobility(
@@ -203,12 +200,13 @@ def step_mobility(
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    vehicles = list(snapshot.vehicles.values())
-    moved = [
-        Vehicle(v.id, Position(x, y), v.speed, h)
-        for v, x, y, h in zip(vehicles, *_reflect(vehicles, dt, field_width, field_height))
-    ]
-    return NetworkSnapshot(moved, snapshot.transmission_range)
+    return _reflect(snapshot, dt, field_width, field_height)
+
+
+def _beacon_tick(sim_time: float, beacon_interval: float) -> float:
+    """The most recent beacon time, ``floor(sim_time / beacon_interval) *
+    beacon_interval``, clamped to ``sim_time`` where rounding lands past it."""
+    return min(sim_time, math.floor(sim_time / beacon_interval) * beacon_interval)
 
 
 def beacon_view(
@@ -217,30 +215,23 @@ def beacon_view(
     beacon_interval: float,
     field_width: float,
     field_height: float,
-) -> dict[int, Position]:
-    """Positions as of the most recent beacon tick.
+) -> NetworkSnapshot:
+    """The snapshot as of the most recent beacon tick.
 
     Each vehicle is moved back along its reflected path by the time elapsed
-    since ``floor(sim_time / beacon_interval) * beacon_interval``, which gives
-    its exact position at the tick.  Routing decisions consume this stale
+    since the tick, which gives its exact position at the tick; with no lag
+    the snapshot itself is returned.  Routing decisions consume this stale
     view; delivery checks stay on the snapshot's ground truth.
     """
     if not beacon_interval > 0:
         raise ValueError(f"beacon_interval must be > 0, got {beacon_interval!r}")
-    lag = sim_time - math.floor(sim_time / beacon_interval) * beacon_interval
-    if lag == 0.0:
-        return {vid: v.position for vid, v in snapshot.vehicles.items()}
-    vehicles = list(snapshot.vehicles.values())
-    xs, ys, _ = _reflect(vehicles, -lag, field_width, field_height)
-    return {v.id: Position(x, y) for v, x, y in zip(vehicles, xs, ys)}
+    lag = sim_time - _beacon_tick(sim_time, beacon_interval)
+    return _reflect(snapshot, -lag, field_width, field_height) if lag else snapshot
 
 
 def _path_length_m(path: tuple[int, ...], snapshot: NetworkSnapshot) -> float:
-    pairs = zip(path, path[1:])
-    return sum(
-        distance(snapshot.vehicles[a].position, snapshot.vehicles[b].position)
-        for a, b in pairs
-    )
+    points = [snapshot.position(v_id) for v_id in path]
+    return sum(distance(a, b) for a, b in zip(points, points[1:]))
 
 
 def _firing_step(flow_time: float, time_step: float) -> int:
@@ -272,7 +263,7 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
             config.seed,
             snapshot_digest(start),
         )
-    ids = sorted(start.vehicles)
+    ids = start.ids.tolist()
     width, height = config.field_width, config.field_height
 
     results: list[RouteResult] = []
@@ -283,7 +274,7 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
         if fired != step:
             step, sim_time = fired, fired * config.time_step
             snapshot = step_mobility(start, sim_time, width, height) if step else start
-            tick = math.floor(sim_time / config.beacon_interval) * config.beacon_interval
+            tick = _beacon_tick(sim_time, config.beacon_interval)
             view = beacon_view(snapshot, sim_time, config.beacon_interval, width, height)
         si = int(flow_rng.integers(len(ids)))
         di = int(flow_rng.integers(len(ids) - 1))
@@ -296,7 +287,7 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
             snapshot,
             now=sim_time,
             ttl=config.ttl,
-            known_positions=view,
+            known=view,
             known_time=tick,
         )
         results.append(result)
@@ -350,13 +341,6 @@ def metrics_row(config: SimConfig, metrics: CampaignMetrics) -> list[str]:
 
 def snapshot_digest(snapshot: NetworkSnapshot) -> str:
     """Stable digest of a snapshot, for asserting identical placements."""
-    payload = repr(
-        (
-            snapshot.transmission_range,
-            tuple(
-                (v.id, v.position.x, v.position.y, v.speed, v.heading)
-                for _, v in sorted(snapshot.vehicles.items())
-            ),
-        )
-    )
+    columns = (snapshot.ids, snapshot.x, snapshot.y, snapshot.speed, snapshot.heading)
+    payload = repr((snapshot.transmission_range, tuple(zip(*(c.tolist() for c in columns)))))
     return hashlib.blake2s(payload.encode()).hexdigest()

@@ -11,10 +11,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .geometry import Position, deviation_angle, distance, wrap_angle
-from .zones import expected_zone, in_request_zone, request_zone
+from .zones import RequestZone, expected_zone, in_request_zone, request_zone
 
 DEFAULT_TTL = 64
 
@@ -35,30 +37,77 @@ class Vehicle:
     def __post_init__(self) -> None:
         if not math.isfinite(self.speed) or self.speed < 0:
             raise ValueError(f"vehicle speed must be finite and >= 0, got {self.speed!r}")
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
+        # A heading already in (-pi, pi] is kept bit for bit, so a vehicle
+        # built from a snapshot's columns carries the heading routing uses.
+        if not -math.pi < self.heading <= math.pi:
+            object.__setattr__(self, "heading", wrap_angle(self.heading))
 
 
 class NetworkSnapshot:
-    """An immutable view of all vehicles sharing one transmission range."""
+    """An immutable view of all vehicles sharing one transmission range.
+
+    Motion state lives in read-only numpy columns ``ids``, ``x``, ``y``,
+    ``speed`` and ``heading``, in ascending id order.  The ``vehicles`` dict
+    is built from them on first use.
+    """
 
     def __init__(self, vehicles: Iterable[Vehicle], transmission_range: float):
+        by_id: dict[int, Vehicle] = {}
+        for vehicle in vehicles:
+            if vehicle.id in by_id:
+                raise ValueError(f"duplicate vehicle id {vehicle.id}")
+            by_id[vehicle.id] = vehicle
+        ordered = [by_id[vid] for vid in sorted(by_id)]
+        motion = [(v.position.x, v.position.y, v.speed, v.heading) for v in ordered]
+        columns = np.array(motion, dtype=float).reshape(-1, 4).T.copy()
+        self._set_columns(transmission_range, np.array(sorted(by_id), dtype=np.int64), *columns)
+        self._vehicles = {v.id: v for v in ordered}
+
+    @classmethod
+    def from_columns(cls, transmission_range, ids, x, y, speed, heading) -> "NetworkSnapshot":
+        """A snapshot over existing columns (``ids`` ascending and distinct);
+        no per-vehicle object is built."""
+        snapshot = cls.__new__(cls)
+        snapshot._set_columns(transmission_range, ids, x, y, speed, heading)
+        return snapshot
+
+    def _set_columns(self, transmission_range, ids, x, y, speed, heading) -> None:
         if not transmission_range > 0:
             raise ValueError(f"transmission_range must be > 0, got {transmission_range!r}")
         self.transmission_range = float(transmission_range)
-        self.vehicles: dict[int, Vehicle] = {}
-        for vehicle in vehicles:
-            if vehicle.id in self.vehicles:
-                raise ValueError(f"duplicate vehicle id {vehicle.id}")
-            self.vehicles[vehicle.id] = vehicle
+        for column in (ids, x, y, speed, heading):
+            column.flags.writeable = False
+        self.ids, self.x, self.y, self.speed, self.heading = ids, x, y, speed, heading
+        self._vehicles: Optional[dict[int, Vehicle]] = None
+
+    @property
+    def vehicles(self) -> dict[int, Vehicle]:
+        """Every vehicle by id, in ascending id order."""
+        if self._vehicles is None:
+            self._vehicles = {vid: self.vehicle(vid) for vid in self.ids.tolist()}
+        return self._vehicles
+
+    def row(self, v_id: int) -> int:
+        """Column index of vehicle ``v_id``."""
+        i = int(np.searchsorted(self.ids, v_id))
+        if i == len(self.ids) or self.ids[i] != v_id:
+            raise KeyError(f"unknown vehicle id {v_id}")
+        return i
+
+    def position(self, v_id: int) -> Position:
+        i = self.row(v_id)
+        return Position(float(self.x[i]), float(self.y[i]))
+
+    def vehicle(self, v_id: int) -> Vehicle:
+        i = self.row(v_id)
+        return Vehicle(v_id, self.position(v_id), float(self.speed[i]), float(self.heading[i]))
 
     def __len__(self) -> int:
-        return len(self.vehicles)
+        return len(self.ids)
 
     def __repr__(self) -> str:
-        return (
-            f"NetworkSnapshot({len(self.vehicles)} vehicles, "
-            f"transmission_range={self.transmission_range})"
-        )
+        reach = self.transmission_range
+        return f"NetworkSnapshot({len(self)} vehicles, transmission_range={reach})"
 
 
 class Outcome(str, Enum):
@@ -113,25 +162,56 @@ class RouteResult:
     hop_count: int
 
 
-def neighbors(v_id: int, snapshot: NetworkSnapshot) -> list[Vehicle]:
-    """Vehicles within transmission range of ``v_id``, boundary inclusive.
-
-    Returned in ascending id order so that downstream selections are
-    deterministic.
+def neighbors(v_id: int, snapshot: NetworkSnapshot) -> list[int]:
+    """Ids of the vehicles within transmission range of ``v_id``, boundary
+    inclusive, in ascending order so that downstream selections are
+    deterministic.  ``np.hypot`` and :func:`distance` can differ in the last
+    bit, so distances within a few ulps of the range are settled by the latter.
     """
-    if v_id not in snapshot.vehicles:
-        raise KeyError(f"unknown vehicle id {v_id}")
-    center = snapshot.vehicles[v_id].position
-    reach = snapshot.transmission_range
-    return [
-        u
-        for uid, u in sorted(snapshot.vehicles.items())
-        if uid != v_id and distance(center, u.position) <= reach
-    ]
+    i = snapshot.row(v_id)
+    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
+    d = np.hypot(x - x[i], y - y[i])
+    inside = d <= reach
+    for j in np.flatnonzero(abs(d - reach) <= 4 * np.spacing(reach)).tolist():
+        inside[j] = distance(Position(x[i], y[i]), Position(x[j], y[j])) <= reach
+    inside[i] = False
+    return snapshot.ids[inside].tolist()
 
 
-def _known(vehicle: Vehicle, known_positions: Optional[Mapping[int, Position]]) -> Position:
-    return vehicle.position if known_positions is None else known_positions[vehicle.id]
+def _known_view(known: Optional[NetworkSnapshot], snapshot: NetworkSnapshot) -> NetworkSnapshot:
+    """``known`` checked to hold ``snapshot``'s vehicles, or ``snapshot`` when None."""
+    if known is None:
+        return snapshot
+    if known.ids is not snapshot.ids and not np.array_equal(known.ids, snapshot.ids):
+        raise ValueError("known must hold the same vehicle ids as the snapshot")
+    return known
+
+
+def _greedy_next_hop(current, dest, snapshot, known, exclude, zone=None) -> Optional[Vehicle]:
+    """The compass choice shared by DIR and D-LAR.
+
+    Candidates are neighbors of ``current`` whose ids are not in ``exclude``;
+    a candidate whose known position coincides with the forwarder has no
+    direction and is skipped.  With a request ``zone`` (D-LAR), candidates
+    must lie inside it, and those heading within pi/2 of the forwarder are
+    preferred when there are any.  The winner minimises (deviation angle
+    toward ``dest``, distance to ``dest``, id).
+    """
+    known = _known_view(known, snapshot)
+    excluded = frozenset(exclude)
+    ids = [u for u in neighbors(current.id, snapshot) if u not in excluded]
+    rows = np.searchsorted(snapshot.ids, ids)
+    here = current.position
+    columns = (known.x[rows].tolist(), known.y[rows].tolist(), snapshot.heading[rows].tolist())
+    pool = [(vid, Position(x, y), h) for vid, x, y, h in zip(ids, *columns)]
+    pool = [c for c in pool if c[1] != here and (zone is None or in_request_zone(c[1], zone))]
+    if zone is not None:
+        aligned = [c for c in pool if abs(wrap_angle(c[2] - current.heading)) <= HALF_PI]
+        pool = aligned or pool
+    if not pool:
+        return None
+    best = min(pool, key=lambda c: (deviation_angle(here, c[1], dest), distance(c[1], dest), c[0]))
+    return snapshot.vehicle(best[0])
 
 
 def dir_next_hop(
@@ -139,35 +219,18 @@ def dir_next_hop(
     dest_pos: Position,
     snapshot: NetworkSnapshot,
     exclude: Iterable[int] = (),
-    known_positions: Optional[Mapping[int, Position]] = None,
+    known: Optional[NetworkSnapshot] = None,
 ) -> Optional[Vehicle]:
     """Compass choice: the neighbor whose direction is closest to ``dest_pos``.
 
     Candidates are neighbors of ``current`` whose ids are not in ``exclude``
-    (the packet's visited trace).  Ties break toward the smaller distance to
-    the destination, then the smaller id.  Candidates whose known position
-    coincides with the forwarder have no direction and are skipped.  Returns
-    None when no candidate exists.
+    (the packet's visited trace), measured at their positions in ``known``
+    (default: ``snapshot``).  Ties break toward the smaller distance to the
+    destination, then the smaller id.  Returns None when no candidate exists.
     """
     if dest_pos == current.position:
         raise ValueError("destination position coincides with the forwarder")
-    excluded = frozenset(exclude)
-    best = None
-    best_key = None
-    for cand in neighbors(current.id, snapshot):
-        if cand.id in excluded:
-            continue
-        pos = _known(cand, known_positions)
-        if pos == current.position:
-            continue
-        key = (
-            deviation_angle(current.position, pos, dest_pos),
-            distance(pos, dest_pos),
-            cand.id,
-        )
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    return _greedy_next_hop(current, dest_pos, snapshot, known, exclude)
 
 
 def dlar_next_hop(
@@ -175,7 +238,7 @@ def dlar_next_hop(
     packet: Packet,
     snapshot: NetworkSnapshot,
     now: float,
-    known_positions: Optional[Mapping[int, Position]] = None,
+    known: Optional[NetworkSnapshot] = None,
 ) -> Optional[Vehicle]:
     """Zone-restricted compass choice with a same-heading preference.
 
@@ -194,33 +257,7 @@ def dlar_next_hop(
         current.position,
         expected_zone(packet.dest_last_pos, packet.dest_speed, packet.t0, now),
     )
-    visited = frozenset(packet.visited)
-    zone_candidates: list[tuple[Vehicle, Position]] = []
-    for cand in neighbors(current.id, snapshot):
-        if cand.id in visited:
-            continue
-        pos = _known(cand, known_positions)
-        if pos == current.position:
-            continue
-        if in_request_zone(pos, rz):
-            zone_candidates.append((cand, pos))
-    if not zone_candidates:
-        return None
-    aligned = [
-        (cand, pos)
-        for cand, pos in zone_candidates
-        if abs(wrap_angle(cand.heading - current.heading)) <= HALF_PI
-    ]
-    pool = aligned if aligned else zone_candidates
-    target = packet.dest_last_pos
-    return min(
-        pool,
-        key=lambda cp: (
-            deviation_angle(current.position, cp[1], target),
-            distance(cp[1], target),
-            cp[0].id,
-        ),
-    )[0]
+    return _greedy_next_hop(current, packet.dest_last_pos, snapshot, known, packet.visited, rz)
 
 
 def _trace_back(parents: dict[int, Optional[int]], node_id: int) -> tuple[int, ...]:
@@ -247,15 +284,12 @@ def lar_route_discovery(
     fallback to unrestricted flooding: an out-of-zone cut is reported as
     ``zone_unreachable``.
     """
-    if source_id not in snapshot.vehicles:
-        raise KeyError(f"unknown vehicle id {source_id}")
-    if packet.dest_id not in snapshot.vehicles:
-        raise KeyError(f"unknown vehicle id {packet.dest_id}")
+    source = snapshot.position(source_id)
+    snapshot.row(packet.dest_id)  # KeyError when unknown
     if source_id == packet.dest_id:
         return RouteResult(Outcome.DELIVERED, (source_id,), 0)
-    source = snapshot.vehicles[source_id]
     rz = request_zone(
-        source.position,
+        source,
         expected_zone(packet.dest_last_pos, packet.dest_speed, packet.t0, now),
     )
     parents: dict[int, Optional[int]] = {source_id: None}
@@ -265,17 +299,17 @@ def lar_route_discovery(
         uid = queue.popleft()
         if depth[uid] >= packet.ttl:
             continue
-        if uid != source_id and not in_request_zone(snapshot.vehicles[uid].position, rz):
+        if uid != source_id and not in_request_zone(snapshot.position(uid), rz):
             continue  # received the RREQ but discards it
         for cand in neighbors(uid, snapshot):
-            if cand.id in parents:
+            if cand in parents:
                 continue
-            parents[cand.id] = uid
-            depth[cand.id] = depth[uid] + 1
-            if cand.id == packet.dest_id:
-                path = _trace_back(parents, cand.id)
+            parents[cand] = uid
+            depth[cand] = depth[uid] + 1
+            if cand == packet.dest_id:
+                path = _trace_back(parents, cand)
                 return RouteResult(Outcome.DELIVERED, path, len(path) - 1)
-            queue.append(cand.id)
+            queue.append(cand)
     return RouteResult(Outcome.ZONE_UNREACHABLE, (source_id,), 0)
 
 
@@ -286,15 +320,16 @@ def route(
     snapshot: NetworkSnapshot,
     now: float = 0.0,
     ttl: int = DEFAULT_TTL,
-    known_positions: Optional[Mapping[int, Position]] = None,
+    known: Optional[NetworkSnapshot] = None,
     known_time: Optional[float] = None,
 ) -> RouteResult:
     """Drive one packet from source to destination under the given protocol.
 
-    ``known_positions``/``known_time`` inject the beacon view: the packet's
-    destination knowledge is taken from them, and greedy candidate metrics use
-    the known positions, while reachability and the delivery check stay on the
-    snapshot's true positions.  Both default to perfect, current knowledge.
+    ``known``/``known_time`` inject the beacon view (a snapshot of the same
+    vehicles): the packet's destination knowledge is taken from it, and
+    greedy candidate metrics use its positions, while reachability and the
+    delivery check stay on ``snapshot``.  Both default to perfect, current
+    knowledge.
 
     Greedy protocols (``dir``/``dlar``) hop until the destination itself is
     within transmission range (direct final hop) or a drop condition fires;
@@ -304,17 +339,16 @@ def route(
         raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
     if ttl <= 0:
         raise ValueError(f"ttl must be > 0, got {ttl!r}")
-    for vid in (source_id, dest_id):
-        if vid not in snapshot.vehicles:
-            raise KeyError(f"unknown vehicle id {vid}")
+    current = snapshot.vehicle(source_id)
+    dest = snapshot.vehicle(dest_id)
     if known_time is not None and known_time > now:
         raise ValueError(f"known_time must be <= now, got {known_time!r} > {now!r}")
+    known = _known_view(known, snapshot)
 
-    dest = snapshot.vehicles[dest_id]
     packet = Packet(
         source_id=source_id,
         dest_id=dest_id,
-        dest_last_pos=_known(dest, known_positions),
+        dest_last_pos=known.position(dest_id),
         dest_speed=dest.speed,
         t0=now if known_time is None else known_time,
         ttl=ttl,
@@ -324,7 +358,6 @@ def route(
 
     if source_id == dest_id:
         return RouteResult(Outcome.DELIVERED, (source_id,), 0)
-    current = snapshot.vehicles[source_id]
     while True:
         # The direct final hop is a forwarding hop too, so it needs budget.
         if packet.ttl >= 1 and distance(current.position, dest.position) <= snapshot.transmission_range:
@@ -337,11 +370,9 @@ def route(
             # there is no direction left to steer by.
             return RouteResult(Outcome.VOID_DROP, tuple(packet.visited), len(packet.visited) - 1)
         if protocol == "dir":
-            nxt = dir_next_hop(
-                current, packet.dest_last_pos, snapshot, packet.visited, known_positions
-            )
+            nxt = dir_next_hop(current, packet.dest_last_pos, snapshot, packet.visited, known)
         else:
-            nxt = dlar_next_hop(current, packet, snapshot, now, known_positions)
+            nxt = dlar_next_hop(current, packet, snapshot, now, known)
         if nxt is None:
             return RouteResult(Outcome.VOID_DROP, tuple(packet.visited), len(packet.visited) - 1)
         packet.visited.append(nxt.id)

@@ -4,13 +4,14 @@ import pytest
 
 from geo_route_sim.cli import (
     ConfigError,
-    cmd_compare,
+    _campaign_csv,
     format_config,
     main,
     parse_config,
 )
 from geo_route_sim.feasibility import AnalyzeConfig
 from geo_route_sim.netsim import SimConfig, generate_nodes, snapshot_digest
+from geo_route_sim.routing import PROTOCOLS
 
 ADJACENT_PAIR = [
     "field_width=100",
@@ -169,7 +170,7 @@ class TestCompareCommand:
         }
         assert len(digests) == 1
         # and the compare output is reproducible end to end
-        assert cmd_compare(config) == cmd_compare(config)
+        assert _campaign_csv(config, None, PROTOCOLS) == _campaign_csv(config, None, PROTOCOLS)
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -151,3 +152,14 @@ class TestWrapAngle:
     def test_range(self, raw):
         wrapped = wrap_angle(raw)
         assert -math.pi < wrapped <= math.pi
+
+    def test_array_equals_scalar_loop_bit_for_bit(self):
+        # Snapshots wrap whole heading columns at once; the bits must match
+        # wrapping each heading on its own, once and twice.
+        rng = np.random.default_rng(5)
+        edges = [k * math.pi + d for k in range(-8, 9) for d in (0.0, -0.0, 1e-16, -1e-16, 5e-324)]
+        raw = np.concatenate([rng.uniform(-math.pi, math.pi, 50_000), rng.uniform(-100, 100, 50_000), edges])
+        once = np.array([wrap_angle(v) for v in raw.tolist()])
+        twice = np.array([wrap_angle(v) for v in once.tolist()])
+        assert np.array_equal(wrap_angle(raw).view(np.int64), once.view(np.int64))
+        assert np.array_equal(wrap_angle(wrap_angle(raw)).view(np.int64), twice.view(np.int64))

@@ -19,7 +19,7 @@ from geo_route_sim.netsim import (
     snapshot_digest,
     step_mobility,
 )
-from geo_route_sim.routing import NetworkSnapshot, Vehicle
+from geo_route_sim.routing import NetworkSnapshot, Vehicle, route
 
 
 def small_config(**overrides) -> SimConfig:
@@ -215,19 +215,19 @@ class TestBeaconView:
     def test_exact_tick_equals_ground_truth(self):
         snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 10.0, 0.0)], 100)
         view = beacon_view(snap, 3.0, 1.0, 1000, 1000)
-        assert view[0] == Position(100, 50)
+        assert view.position(0) == Position(100, 50)
 
     def test_stationary_nodes_never_lag(self):
         snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 0.0, 1.2)], 100)
-        assert beacon_view(snap, 3.43, 1.0, 1000, 1000)[0] == Position(100, 50)
+        assert beacon_view(snap, 3.43, 1.0, 1000, 1000).position(0) == Position(100, 50)
 
     def test_mid_interval_lag(self):
         # Vehicle moving +x at 10 m/s, observed 0.7 s after the last beacon:
         # the view trails by 7 m.
         snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 10.0, 0.0)], 100)
         view = beacon_view(snap, 1.7, 1.0, 1000, 1000)
-        assert view[0].x == pytest.approx(93.0, abs=1e-9)
-        assert view[0].y == pytest.approx(50.0)
+        assert view.position(0).x == pytest.approx(93.0, abs=1e-9)
+        assert view.position(0).y == pytest.approx(50.0)
 
     def test_tick_before_a_reflection_is_inside_the_field(self):
         # Heading +x at 10 m/s from x=993 at the 1.0 s tick, the vehicle hits
@@ -236,8 +236,8 @@ class TestBeaconView:
         moved = step_mobility(snap, 0.9, 1000, 1000)
         assert moved.vehicles[0].position.x == pytest.approx(998.0)
         view = beacon_view(moved, 1.9, 1.0, 1000, 1000)
-        assert view[0].x == pytest.approx(993.0, abs=1e-9)
-        assert view[0].y == pytest.approx(50.0)
+        assert view.position(0).x == pytest.approx(993.0, abs=1e-9)
+        assert view.position(0).y == pytest.approx(50.0)
 
     def test_positions_stay_inside_the_field_after_reflections(self):
         config = small_config(node_count=300, speed_min=20.0, speed_max=40.0)
@@ -245,7 +245,7 @@ class TestBeaconView:
         for step in range(1, 40):
             snap = step_mobility(snap, 0.5, config.field_width, config.field_height)
             view = beacon_view(snap, step * 0.5, 1.0, config.field_width, config.field_height)
-            for pos in view.values():
+            for pos in (v.position for v in view.vehicles.values()):
                 assert 0.0 <= pos.x <= config.field_width
                 assert 0.0 <= pos.y <= config.field_height
 
@@ -291,6 +291,31 @@ class TestRunCampaign:
         b = run_campaign(config)
         assert a == b
         assert metrics_row(config, a) == metrics_row(config, b)
+
+    def test_beacon_tick_does_not_round_past_now(self):
+        # Flow 21 fires at 21 * 0.3 = 6.3 s, where floor(6.3 / 2.1) * 2.1 is
+        # 6.300000000000001.
+        config = SimConfig(time_step=0.3, beacon_interval=2.1, duration=6.6, flows=22, node_count=50)
+        assert run_campaign(config).sent == 22
+
+    @pytest.mark.parametrize("protocol", ["dir", "lar", "dlar"])
+    def test_builds_vehicle_objects_per_hop_not_per_vehicle(self, monkeypatch, protocol):
+        built = []
+        post_init = Vehicle.__post_init__
+        monkeypatch.setattr(Vehicle, "__post_init__", lambda v: built.append(v.id) or post_init(v))
+        results = []
+
+        def recording_route(*args, **kwargs):
+            results.append(route(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(netsim, "route", recording_route)
+        config = small_config(
+            field_width=2000.0, field_height=2000.0, node_count=2000, tx_range=250.0,
+            duration=10.0, flows=20, protocol=protocol,
+        )
+        assert run_campaign(config).sent == 20
+        assert 0 < len(built) <= sum(len(r.path) + 2 for r in results)
 
     def test_single_vehicle_sends_nothing(self):
         metrics = run_campaign(small_config(node_count=1, flows=5))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from geo_route_sim.geometry import Position, wrap_angle
+from geo_route_sim.geometry import Position, distance, wrap_angle
 from geo_route_sim.routing import (
     NetworkSnapshot,
     Outcome,
@@ -35,8 +35,8 @@ class TestNeighbors:
 
     def test_boundary_inclusive(self):
         snap = make_snapshot([(0, 0), (100, 0)], 100)
-        assert [v.id for v in neighbors(0, snap)] == [1]
-        assert [v.id for v in neighbors(1, snap)] == [0]
+        assert neighbors(0, snap) == [1]
+        assert neighbors(1, snap) == [0]
 
     def test_unknown_id(self):
         snap = make_snapshot([(0, 0)], 100)
@@ -47,14 +47,36 @@ class TestNeighbors:
         rng = random.Random(50)
         snap = oracles.random_snapshot(rng, n=50, tx=100.0)
         for vid in snap.vehicles:
-            got = {v.id for v in neighbors(vid, snap)}
+            got = set(neighbors(vid, snap))
             assert got == oracles.neighbor_ids(snap, vid)
 
     def test_sorted_by_id(self):
         rng = random.Random(51)
         snap = oracles.random_snapshot(rng, n=30, tx=400.0)
-        ids = [v.id for v in neighbors(7, snap)]
+        ids = neighbors(7, snap)
         assert ids == sorted(ids)
+
+    @pytest.mark.parametrize("reach", [100.0, 250.0, 0.1 + 0.2, 1000.0 / 3.0])
+    def test_boundary_membership_equals_distance_exactly(self, reach):
+        # Pairs at exactly R and one ulp either side, plus points around an
+        # offset center at nominal distance R, where the vectorized hypot and
+        # geometry.distance can round to opposite sides of the range.
+        below, above = math.nextafter(reach, 0.0), math.nextafter(reach, math.inf)
+        pairs = [(r, 0.0) for r in (reach, below, above)] + [(0.0, -r) for r in (reach, below, above)]
+        snap = make_snapshot([(0.0, 0.0)] + pairs, reach)
+        assert neighbors(0, snap) == [1, 2, 4, 5]
+
+        rng = random.Random(int(reach * 1000))
+        cx, cy = rng.uniform(0, 1000), rng.uniform(0, 1000)
+        ring = [
+            (cx + reach * math.cos(t), cy + reach * math.sin(t))
+            for t in (rng.uniform(-math.pi, math.pi) for _ in range(3000))
+        ]
+        snap = make_snapshot([(cx, cy)] + ring, reach)
+        center = snap.vehicles[0].position
+        want = [v.id for v in snap.vehicles.values() if distance(center, v.position) <= reach]
+        assert 0 < len(want) - 1 < len(ring)  # the ring straddles the range
+        assert neighbors(0, snap) == want[1:]
 
 
 class TestDirNextHop:

@@ -17,6 +17,9 @@ import numpy as np
 
 # Most expected points per Monte Carlo trial; all trials' draws sit in memory.
 MAX_TRIAL_POINTS = 1_000_000
+# Most expected slots in one Monte Carlo draw: each trial holds its own count
+# plus the points of its box.
+MAX_DRAW_POINTS = 50_000_000
 
 class RegionKind(Enum):
     FULL_CIRCLE = "full_circle"
@@ -64,13 +67,26 @@ def poisson_pmf(n: int, mean: float) -> float:
 
 
 def prob_at_least_k(k: int, mean: float) -> float:
-    """P(N >= k) = 1 - sum_{n<k} pmf(n, mean), clamped to [0, 1]."""
+    """P(N >= k) for N ~ Poisson(mean), clamped to [0, 1].
+
+    Up to the mean this is 1 - sum_{n<k} pmf(n, mean).  Beyond it the upper
+    tail sum_{n>=k} pmf(n, mean) is added directly, since 1 - head cancels
+    catastrophically there; its terms fall monotonically, and the sum stops
+    once a term is below 1e-17 of the running total.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
     if mean < 0:
         raise ValueError(f"mean must be >= 0, got {mean!r}")
-    tail = 1.0 - math.fsum(poisson_pmf(n, mean) for n in range(k))
-    return min(1.0, max(0.0, tail))
+    if k <= mean:
+        tail = 1.0 - math.fsum(poisson_pmf(n, mean) for n in range(k))
+        return min(1.0, max(0.0, tail))
+    terms = [poisson_pmf(k, mean)]
+    total = terms[0]
+    while terms[-1] > 1e-17 * total:
+        terms.append(poisson_pmf(k + len(terms), mean))
+        total += terms[-1]
+    return min(1.0, math.fsum(terms))
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -78,20 +94,17 @@ class MonteCarloEstimate(NamedTuple):
     stderr: float
 
 
-def monte_carlo_at_least_k(
-    params: FeasibilityParams,
-    region: RegionKind,
-    trials: int,
-    seed: int,
-) -> MonteCarloEstimate:
-    """Estimate P(at least k candidates in the region) from a simulated field.
+def region_counts(
+    params: FeasibilityParams, region: RegionKind, trials: int, seed: int
+) -> np.ndarray:
+    """Points that land in the region, per trial of a simulated field.
 
     Each trial scatters a homogeneous planar Poisson process over a bounding
     box and counts the points that land inside the disk (or quarter disk).
     The region count therefore arises from geometric thinning of uniformly
-    placed points, never from the analytic pmf, which keeps this estimator an
-    independent check on the closed forms.  Returns the hit fraction and its
-    binomial standard error.
+    placed points, never from the analytic pmf, which keeps the Monte Carlo
+    estimates an independent check on the closed forms.  ``params.k`` is not
+    used.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -103,12 +116,31 @@ def monte_carlo_at_least_k(
     total = int(box_counts.sum())
     xs = rng.uniform(low, high, size=total)
     ys = rng.uniform(low, high, size=total)
-    inside = (xs * xs + ys * ys) <= r * r
+    np.multiply(xs, xs, out=xs)
+    np.multiply(ys, ys, out=ys)
+    xs += ys
+    inside = xs <= r * r
+    del xs, ys
     owner = np.repeat(np.arange(trials), box_counts)
-    region_counts = np.bincount(owner[inside], minlength=trials)
-    estimate = float(np.count_nonzero(region_counts >= params.k)) / trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return MonteCarloEstimate(estimate, stderr)
+    return np.bincount(owner[inside], minlength=trials)
+
+
+def _estimate(hits: int, trials: int) -> MonteCarloEstimate:
+    """Hit fraction and its binomial standard error."""
+    estimate = float(hits) / trials
+    return MonteCarloEstimate(estimate, math.sqrt(estimate * (1.0 - estimate) / trials))
+
+
+def monte_carlo_at_least_k(
+    params: FeasibilityParams, region: RegionKind, trials: int, seed: int
+) -> MonteCarloEstimate:
+    """Estimate P(at least k candidates in the region) from a simulated field.
+
+    The share of ``region_counts`` trials holding at least ``params.k``
+    points, with its binomial standard error.
+    """
+    hits = np.count_nonzero(region_counts(params, region, trials, seed) >= params.k)
+    return _estimate(hits, trials)
 
 
 def feasibility_table(
@@ -152,8 +184,15 @@ class AnalyzeConfig:
             raise ValueError(f"densities * (2 * tx_range)**2 must be < {limit}, got {box_points!r}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max!r}")
-        if self.mc_trials is not None and self.mc_trials < 1:
-            raise ValueError(f"mc_trials must be >= 1, got {self.mc_trials!r}")
+        if self.mc_trials is not None:
+            if self.mc_trials < 1:
+                raise ValueError(f"mc_trials must be >= 1, got {self.mc_trials!r}")
+            max_trials = int(MAX_DRAW_POINTS / (1.0 + box_points))
+            if self.mc_trials > max_trials:
+                raise ValueError(
+                    f"mc_trials must be <= {max_trials} with {box_points:.6g} points per trial, "
+                    f"got {self.mc_trials!r}"
+                )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
@@ -164,8 +203,9 @@ def analyze_csv(config: AnalyzeConfig) -> str:
     Probabilities are printed at 10 significant digits; rows are ordered by
     density ascending, then region, then k ascending, so the output is a
     deterministic function of the configuration.  With ``mc_trials`` set, each
-    row gains a Monte Carlo estimate and its standard error, seeded per row
-    from ``seed``.
+    row gains a Monte Carlo estimate and its standard error.  Every k of one
+    (density, region) is read from the same ``region_counts`` draw, seeded
+    from ``seed`` once per (density, region).
     """
     config.validate()
     buf = io.StringIO()
@@ -175,21 +215,20 @@ def analyze_csv(config: AnalyzeConfig) -> str:
     if with_mc:
         header += ["mc_estimate", "mc_stderr"]
     writer.writerow(header)
-    cells = [
-        (density, region, k)
-        for density in sorted(config.densities)
-        for region in RegionKind
-        for k in range(1, config.k_max + 1)
-    ]
-    mc_seeds = (
-        np.random.SeedSequence(config.seed).generate_state(len(cells)) if with_mc else None
-    )
-    for i, (density, region, k) in enumerate(cells):
-        params = FeasibilityParams(density, config.tx_range, k)
-        prob = prob_at_least_k(k, mean_node_count(params, region))
-        row = [f"{density:.10g}", str(k), region.value, f"{prob:.10g}"]
+    curves = [(density, region) for density in sorted(config.densities) for region in RegionKind]
+    mc_seeds = np.random.SeedSequence(config.seed).generate_state(len(curves))
+    for i, (density, region) in enumerate(curves):
+        params = FeasibilityParams(density, config.tx_range)
+        mean = mean_node_count(params, region)
         if with_mc:
-            est = monte_carlo_at_least_k(params, region, config.mc_trials, int(mc_seeds[i]))
-            row += [f"{est.estimate:.10g}", f"{est.stderr:.10g}"]
-        writer.writerow(row)
+            counts = region_counts(params, region, config.mc_trials, int(mc_seeds[i]))
+            # at_least[k]: the trials holding at least k points
+            at_least = np.cumsum(np.bincount(counts, minlength=config.k_max + 1)[::-1])[::-1]
+        for k in range(1, config.k_max + 1):
+            prob = prob_at_least_k(k, mean)
+            row = [f"{density:.10g}", str(k), region.value, f"{prob:.10g}"]
+            if with_mc:
+                est = _estimate(at_least[k], config.mc_trials)
+                row += [f"{est.estimate:.10g}", f"{est.stderr:.10g}"]
+            writer.writerow(row)
     return buf.getvalue()

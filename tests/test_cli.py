@@ -103,6 +103,23 @@ class TestAnalyzeCommand:
         for row_a, row_b in zip(a.splitlines()[1:], b.splitlines()[1:]):
             assert row_a.split(",")[:4] == row_b.split(",")[:4]
 
+    def test_deep_tail_rows_are_exact(self, capsys):
+        # 1 - head cancels in these rows; the expected values are mpmath's.
+        code, out, _ = run_cli(capsys, "analyze", "densities=1e-5", "k_max=15")
+        assert code == 0
+        assert [l for l in out.splitlines() if ",quarter_circle," in l][-3:] == [
+            "1e-05,13,quarter_circle,9.786050719e-15",
+            "1e-05,14,quarter_circle,3.422989821e-16",
+            "1e-05,15,quarter_circle,1.117821113e-17",
+        ]
+
+    @pytest.mark.parametrize("trials", ["10000000000", "1" + "0" * 400], ids=["1e10", "1e400"])
+    def test_mc_trials_above_the_draw_bound_is_a_config_error(self, capsys, trials):
+        # Rejected by validation before any draw; 1e400 does not fit a float.
+        code, _, err = run_cli(capsys, "analyze", "--mc-trials", trials)
+        assert code == 1
+        assert "mc_trials" in err
+
 
 class TestSimulateCommand:
     def test_adjacent_pair_delivers_everything(self, capsys):

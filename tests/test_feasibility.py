@@ -1,9 +1,13 @@
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 
+from geo_route_sim import feasibility
 from geo_route_sim.feasibility import (
+    MAX_DRAW_POINTS,
     AnalyzeConfig,
     FeasibilityParams,
     RegionKind,
@@ -13,6 +17,7 @@ from geo_route_sim.feasibility import (
     monte_carlo_at_least_k,
     poisson_pmf,
     prob_at_least_k,
+    region_counts,
 )
 
 
@@ -111,6 +116,20 @@ class TestProbAtLeastK:
             by_mean = [prob_at_least_k(k, mean) for mean in means]
             assert all(a <= b for a, b in zip(by_mean, by_mean[1:]))
 
+    def test_against_arbitrary_precision_incomplete_gamma(self):
+        # P(N >= k) = P(k, mean), the regularized lower incomplete gamma, at
+        # 50 digits; deep upper tails are summed directly, so they keep their
+        # relative accuracy instead of cancelling in 1 - head.
+        with mpmath.workdps(50):
+            for mean in np.geomspace(1e-3, 1e3, 25):
+                for k in range(1, 201):
+                    ref = float(mpmath.gammainc(k, 0, mean, regularized=True))
+                    got = prob_at_least_k(k, float(mean))
+                    if ref < sys.float_info.min:
+                        assert got < 2**10 * sys.float_info.min, (k, mean, got, ref)
+                    else:
+                        assert abs(got - ref) <= 1e-12 * ref, (k, mean, got, ref)
+
     def test_quarter_region_never_beats_full_circle(self):
         # Eq-level region ordering: the quarter region has a quarter of the
         # mean, and the tail probability is monotone in the mean.
@@ -153,6 +172,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_at_least_k(FeasibilityParams(0.1, 10.0), RegionKind.FULL_CIRCLE, 0, 1)
 
+    @pytest.mark.parametrize("region", list(RegionKind))
+    def test_region_counts_equal_the_plain_expression(self, region):
+        # The draw squares and adds in place; the counts equal the plain
+        # (xs * xs + ys * ys) <= r * r over the same draws exactly.
+        params = params_for_mean(6.0, region)
+        rng = np.random.default_rng(11)
+        r = params.tx_range
+        low, high = (-r, r) if region is RegionKind.FULL_CIRCLE else (0.0, r)
+        box_counts = rng.poisson(params.density * (high - low) ** 2, size=5000)
+        xs = rng.uniform(low, high, size=int(box_counts.sum()))
+        ys = rng.uniform(low, high, size=xs.size)
+        owner = np.repeat(np.arange(5000), box_counts)
+        expected = np.bincount(owner[(xs * xs + ys * ys) <= r * r], minlength=5000)
+        assert np.array_equal(region_counts(params, region, 5000, 11), expected)
+
 
 class TestFeasibilityTable:
     def test_row_ordering_and_k_column(self):
@@ -192,3 +226,60 @@ class TestAnalyzeCsv:
     def test_deterministic(self):
         config = AnalyzeConfig(densities=(0.0002, 0.0004), k_max=4, mc_trials=500, seed=9)
         assert analyze_csv(config) == analyze_csv(config)
+
+
+class TestAnalyzeMonteCarlo:
+    # k_max reaches past the largest count at the low density, where the
+    # bincount is shorter than the k column.
+    CONFIG = AnalyzeConfig(densities=(0.0004, 0.00005), k_max=25, mc_trials=3000, seed=4)
+
+    def mc_columns(self):
+        curves = {}
+        for line in analyze_csv(self.CONFIG).splitlines()[1:]:
+            density, k, region, _, estimate, stderr = line.split(",")
+            curves.setdefault((float(density), RegionKind(region)), []).append(
+                (int(k), estimate, stderr)
+            )
+        return curves
+
+    def test_rows_equal_monte_carlo_at_least_k_with_the_curve_seed(self):
+        curves = self.mc_columns()
+        seeds = np.random.SeedSequence(self.CONFIG.seed).generate_state(2 * 2)
+        assert list(curves) == [
+            (density, region) for density in (0.00005, 0.0004) for region in RegionKind
+        ]
+        for seed, ((density, region), rows) in zip(seeds, curves.items()):
+            for k, estimate, stderr in rows:
+                params = FeasibilityParams(density, self.CONFIG.tx_range, k)
+                est = monte_carlo_at_least_k(params, region, self.CONFIG.mc_trials, int(seed))
+                assert (estimate, stderr) == (f"{est.estimate:.10g}", f"{est.stderr:.10g}")
+
+    def test_estimate_never_rises_with_k(self):
+        for rows in self.mc_columns().values():
+            estimates = [float(estimate) for _, estimate, _ in rows]
+            assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+
+    def test_one_draw_per_density_and_region(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return region_counts(*args)
+
+        monkeypatch.setattr(feasibility, "region_counts", counting)
+        config = AnalyzeConfig(densities=(0.0001, 0.0002, 0.0004), k_max=10, mc_trials=200)
+        analyze_csv(config)
+        assert len(calls) == len(config.densities) * 2
+
+
+class TestAnalyzeConfigBounds:
+    def test_readme_example_is_within_the_draw_bound(self):
+        AnalyzeConfig(mc_trials=100_000).validate()
+
+    def test_draw_bound_names_mc_trials(self):
+        box_points = 4.0 * 250.0**2 * 0.0004
+        limit = int(MAX_DRAW_POINTS / (1.0 + box_points))
+        AnalyzeConfig(mc_trials=limit).validate()
+        for trials in (limit + 1, 10**12, 10**400):
+            with pytest.raises(ValueError, match="mc_trials"):
+                AnalyzeConfig(mc_trials=trials).validate()

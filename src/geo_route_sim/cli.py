@@ -36,31 +36,14 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-_SIM_PARSERS = {
-    "field_width": float,
-    "field_height": float,
-    "density": float,
-    "node_count": int,
-    "tx_range": float,
-    "speed_min": float,
-    "speed_max": float,
-    "beacon_interval": float,
-    "duration": float,
-    "time_step": float,
-    "protocol": str,
-    "flows": int,
-    "seed": int,
-    "ttl": int,
-    "per_hop_latency_ms": float,
-}
+def _parsers(config_type) -> dict:
+    """Value parser per config key, from the dataclass field types."""
+    special = {Optional[int]: int, tuple[float, ...]: _float_list}
+    return {f.name: special.get(f.type, f.type) for f in fields(config_type)}
 
-_ANALYZE_PARSERS = {
-    "densities": _float_list,
-    "tx_range": float,
-    "k_max": int,
-    "mc_trials": int,
-    "seed": int,
-}
+
+_SIM_PARSERS = _parsers(SimConfig)
+_ANALYZE_PARSERS = _parsers(AnalyzeConfig)
 
 
 def _parse_pairs(text: str) -> list[tuple[str, str, Optional[int]]]:

@@ -5,10 +5,12 @@ Knowledge can be degraded to a beacon view (see :func:`route`): physical
 reachability and the delivery check always follow the snapshot's true
 positions, while the angle metric and zone membership of candidates may use
 the stale positions a forwarder would actually know from beacons.
+
+Inside this module a vehicle is its row in the snapshot's columns; ids and
+:class:`Vehicle` objects appear only at the public functions.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -16,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .geometry import Position, deviation_angle, distance, wrap_angle
-from .zones import RequestZone, expected_zone, in_request_zone, request_zone
+from .zones import expected_zone, in_request_zone, request_zone
 
 DEFAULT_TTL = 64
 
@@ -159,23 +161,35 @@ class RouteResult:
 
     outcome: Outcome
     path: tuple[int, ...]
-    hop_count: int
+
+    @property
+    def hop_count(self) -> int:
+        return len(self.path) - 1
+
+
+def _ids(snapshot: NetworkSnapshot, rows) -> tuple[int, ...]:
+    return tuple(snapshot.ids[rows].tolist())
+
+
+def _in_range(snapshot: NetworkSnapshot, row: int) -> np.ndarray:
+    """Mask of the rows within transmission range of ``row``, boundary
+    inclusive, ``row`` itself excluded.  ``np.hypot`` and :func:`distance` can
+    differ in the last bit, so distances within a few ulps of the range are
+    settled by the latter."""
+    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
+    d = np.hypot(x - x[row], y - y[row])
+    inside = d <= reach
+    for j in np.flatnonzero(abs(d - reach) <= 4 * np.spacing(reach)).tolist():
+        inside[j] = distance(Position(x[row], y[row]), Position(x[j], y[j])) <= reach
+    inside[row] = False
+    return inside
 
 
 def neighbors(v_id: int, snapshot: NetworkSnapshot) -> list[int]:
     """Ids of the vehicles within transmission range of ``v_id``, boundary
     inclusive, in ascending order so that downstream selections are
-    deterministic.  ``np.hypot`` and :func:`distance` can differ in the last
-    bit, so distances within a few ulps of the range are settled by the latter.
-    """
-    i = snapshot.row(v_id)
-    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
-    d = np.hypot(x - x[i], y - y[i])
-    inside = d <= reach
-    for j in np.flatnonzero(abs(d - reach) <= 4 * np.spacing(reach)).tolist():
-        inside[j] = distance(Position(x[i], y[i]), Position(x[j], y[j])) <= reach
-    inside[i] = False
-    return snapshot.ids[inside].tolist()
+    deterministic."""
+    return snapshot.ids[_in_range(snapshot, snapshot.row(v_id))].tolist()
 
 
 def _known_view(known: Optional[NetworkSnapshot], snapshot: NetworkSnapshot) -> NetworkSnapshot:
@@ -187,31 +201,44 @@ def _known_view(known: Optional[NetworkSnapshot], snapshot: NetworkSnapshot) -> 
     return known
 
 
-def _greedy_next_hop(current, dest, snapshot, known, exclude, zone=None) -> Optional[Vehicle]:
-    """The compass choice shared by DIR and D-LAR.
+def _greedy_next_hop(
+    snapshot, known, row, here, heading, dest, exclude, zone=None
+) -> Optional[int]:
+    """The compass choice shared by DIR and D-LAR, over snapshot rows.
 
-    Candidates are neighbors of ``current`` whose ids are not in ``exclude``;
-    a candidate whose known position coincides with the forwarder has no
-    direction and is skipped.  With a request ``zone`` (D-LAR), candidates
-    must lie inside it, and those heading within pi/2 of the forwarder are
-    preferred when there are any.  The winner minimises (deviation angle
-    toward ``dest``, distance to ``dest``, id).
+    ``row`` is the forwarder, at true position ``here`` with ``heading``.
+    Candidates are its neighbors outside the ``exclude`` rows; a candidate
+    whose ``known`` position coincides with ``here`` has no direction and is
+    skipped.  With a request ``zone`` (D-LAR), candidates must lie inside it,
+    and those heading within pi/2 of the forwarder are preferred when there
+    are any.  The winner, a row, minimises (deviation angle toward ``dest``,
+    distance to ``dest``, row); rows are in id order.
     """
-    known = _known_view(known, snapshot)
-    excluded = frozenset(exclude)
-    ids = [u for u in neighbors(current.id, snapshot) if u not in excluded]
-    rows = np.searchsorted(snapshot.ids, ids)
-    here = current.position
-    columns = (known.x[rows].tolist(), known.y[rows].tolist(), snapshot.heading[rows].tolist())
-    pool = [(vid, Position(x, y), h) for vid, x, y, h in zip(ids, *columns)]
-    pool = [c for c in pool if c[1] != here and (zone is None or in_request_zone(c[1], zone))]
+    inside = _in_range(snapshot, row)
+    inside[exclude] = False
+    rows = np.flatnonzero(inside)
+    x, y = known.x[rows], known.y[rows]
+    keep = (x != here.x) | (y != here.y)
     if zone is not None:
-        aligned = [c for c in pool if abs(wrap_angle(c[2] - current.heading)) <= HALF_PI]
-        pool = aligned or pool
+        keep &= in_request_zone(x, y, zone)
+        aligned = keep & (np.abs(wrap_angle(snapshot.heading[rows] - heading)) <= HALF_PI)
+        keep = aligned if aligned.any() else keep
+    columns = (x[keep].tolist(), y[keep].tolist(), rows[keep].tolist())
+    pool = [(Position(px, py), r) for px, py, r in zip(*columns)]
     if not pool:
         return None
-    best = min(pool, key=lambda c: (deviation_angle(here, c[1], dest), distance(c[1], dest), c[0]))
-    return snapshot.vehicle(best[0])
+    best = min(pool, key=lambda c: (deviation_angle(here, c[0], dest), distance(c[0], dest), c[1]))
+    return best[1]
+
+
+def _vehicle_next_hop(current, dest, snapshot, known, exclude, zone=None) -> Optional[Vehicle]:
+    """:func:`_greedy_next_hop` for the public API: a vehicle and ids in, a vehicle out."""
+    excluded = np.flatnonzero(np.isin(snapshot.ids, list(exclude)))
+    best = _greedy_next_hop(
+        snapshot, _known_view(known, snapshot), snapshot.row(current.id),
+        current.position, current.heading, dest, excluded, zone,
+    )
+    return None if best is None else snapshot.vehicle(int(snapshot.ids[best]))
 
 
 def dir_next_hop(
@@ -230,7 +257,7 @@ def dir_next_hop(
     """
     if dest_pos == current.position:
         raise ValueError("destination position coincides with the forwarder")
-    return _greedy_next_hop(current, dest_pos, snapshot, known, exclude)
+    return _vehicle_next_hop(current, dest_pos, snapshot, known, exclude)
 
 
 def dlar_next_hop(
@@ -257,15 +284,7 @@ def dlar_next_hop(
         current.position,
         expected_zone(packet.dest_last_pos, packet.dest_speed, packet.t0, now),
     )
-    return _greedy_next_hop(current, packet.dest_last_pos, snapshot, known, packet.visited, rz)
-
-
-def _trace_back(parents: dict[int, Optional[int]], node_id: int) -> tuple[int, ...]:
-    path = [node_id]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return tuple(path)
+    return _vehicle_next_hop(current, packet.dest_last_pos, snapshot, known, packet.visited, rz)
 
 
 def lar_route_discovery(
@@ -279,38 +298,38 @@ def lar_route_discovery(
     The request zone is anchored at the source once, for the whole discovery.
     A node rebroadcasts only if its own position lies inside that zone; the
     destination may receive from a zone relay without being a member itself.
-    Breadth-first exploration in ascending id order makes the reported path
-    deterministic.  The packet's ttl bounds the flood depth.  There is no
-    fallback to unrestricted flooding: an out-of-zone cut is reported as
+    The flood goes one level per hop: within a level, relays rebroadcast in
+    the order they were reached, each reaching its unreached neighbors in
+    ascending id order, which makes the reported path deterministic.  The
+    packet's ttl bounds the number of levels: a flood cut while zone relays
+    still hold the request is a ``ttl_drop``.  There is no fallback to
+    unrestricted flooding: an out-of-zone cut is reported as
     ``zone_unreachable``.
     """
-    source = snapshot.position(source_id)
-    snapshot.row(packet.dest_id)  # KeyError when unknown
-    if source_id == packet.dest_id:
-        return RouteResult(Outcome.DELIVERED, (source_id,), 0)
-    rz = request_zone(
-        source,
-        expected_zone(packet.dest_last_pos, packet.dest_speed, packet.t0, now),
-    )
-    parents: dict[int, Optional[int]] = {source_id: None}
-    depth = {source_id: 0}
-    queue = deque([source_id])
-    while queue:
-        uid = queue.popleft()
-        if depth[uid] >= packet.ttl:
-            continue
-        if uid != source_id and not in_request_zone(snapshot.position(uid), rz):
-            continue  # received the RREQ but discards it
-        for cand in neighbors(uid, snapshot):
-            if cand in parents:
-                continue
-            parents[cand] = uid
-            depth[cand] = depth[uid] + 1
-            if cand == packet.dest_id:
-                path = _trace_back(parents, cand)
-                return RouteResult(Outcome.DELIVERED, path, len(path) - 1)
-            queue.append(cand)
-    return RouteResult(Outcome.ZONE_UNREACHABLE, (source_id,), 0)
+    src, dst = snapshot.row(source_id), snapshot.row(packet.dest_id)
+    if src == dst:
+        return RouteResult(Outcome.DELIVERED, (source_id,))
+    x, y = snapshot.x, snapshot.y
+    ez = expected_zone(packet.dest_last_pos, packet.dest_speed, packet.t0, now)
+    # The source always lies inside its own request zone, so it relays.
+    relays = in_request_zone(x, y, request_zone(Position(float(x[src]), float(y[src])), ez))
+    parent = np.full(len(snapshot), -1)  # -1: not reached yet
+    parent[src] = src
+    frontier = [src]
+    for _ in range(packet.ttl):
+        level = []
+        for relay in frontier:
+            new = np.flatnonzero(_in_range(snapshot, relay) & (parent < 0))
+            parent[new] = relay
+            if parent[dst] >= 0:
+                path = [dst]
+                while path[-1] != src:
+                    path.append(int(parent[path[-1]]))
+                return RouteResult(Outcome.DELIVERED, _ids(snapshot, path[::-1]))
+            level.extend(new[relays[new]].tolist())
+        frontier = level
+    outcome = Outcome.TTL_DROP if frontier else Outcome.ZONE_UNREACHABLE
+    return RouteResult(outcome, (source_id,))
 
 
 def route(
@@ -339,42 +358,37 @@ def route(
         raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
     if ttl <= 0:
         raise ValueError(f"ttl must be > 0, got {ttl!r}")
-    current = snapshot.vehicle(source_id)
-    dest = snapshot.vehicle(dest_id)
+    src, dst = snapshot.row(source_id), snapshot.row(dest_id)
     if known_time is not None and known_time > now:
         raise ValueError(f"known_time must be <= now, got {known_time!r} > {now!r}")
     known = _known_view(known, snapshot)
-
-    packet = Packet(
-        source_id=source_id,
-        dest_id=dest_id,
-        dest_last_pos=known.position(dest_id),
-        dest_speed=dest.speed,
-        t0=now if known_time is None else known_time,
-        ttl=ttl,
-    )
+    if src == dst:
+        return RouteResult(Outcome.DELIVERED, (source_id,))
+    x, y = snapshot.x, snapshot.y
+    dest_last = Position(float(known.x[dst]), float(known.y[dst]))
+    dest_speed = float(snapshot.speed[dst])
+    t0 = now if known_time is None else known_time
     if protocol == "lar":
+        packet = Packet(source_id, dest_id, dest_last, dest_speed, t0, ttl=ttl)
         return lar_route_discovery(source_id, packet, snapshot, now)
-
-    if source_id == dest_id:
-        return RouteResult(Outcome.DELIVERED, (source_id,), 0)
+    ez = expected_zone(dest_last, dest_speed, t0, now)
+    dest = Position(float(x[dst]), float(y[dst]))
+    path = [src]
     while True:
-        # The direct final hop is a forwarding hop too, so it needs budget.
-        if packet.ttl >= 1 and distance(current.position, dest.position) <= snapshot.transmission_range:
-            path = tuple(packet.visited) + (dest_id,)
-            return RouteResult(Outcome.DELIVERED, path, len(path) - 1)
-        if packet.ttl <= 0:
-            return RouteResult(Outcome.TTL_DROP, tuple(packet.visited), len(packet.visited) - 1)
-        if packet.dest_last_pos == current.position:
+        row = path[-1]
+        here = Position(float(x[row]), float(y[row]))
+        # len(path) - 1 hops are spent; the direct final hop needs budget too.
+        if len(path) - 1 == ttl:
+            return RouteResult(Outcome.TTL_DROP, _ids(snapshot, path))
+        if distance(here, dest) <= snapshot.transmission_range:
+            return RouteResult(Outcome.DELIVERED, _ids(snapshot, path + [dst]))
+        if dest_last == here:
             # Stale knowledge led exactly onto the destination's old spot;
             # there is no direction left to steer by.
-            return RouteResult(Outcome.VOID_DROP, tuple(packet.visited), len(packet.visited) - 1)
-        if protocol == "dir":
-            nxt = dir_next_hop(current, packet.dest_last_pos, snapshot, packet.visited, known)
-        else:
-            nxt = dlar_next_hop(current, packet, snapshot, now, known)
+            return RouteResult(Outcome.VOID_DROP, _ids(snapshot, path))
+        zone = request_zone(here, ez) if protocol == "dlar" else None
+        heading = float(snapshot.heading[row])
+        nxt = _greedy_next_hop(snapshot, known, row, here, heading, dest_last, path, zone)
         if nxt is None:
-            return RouteResult(Outcome.VOID_DROP, tuple(packet.visited), len(packet.visited) - 1)
-        packet.visited.append(nxt.id)
-        packet.ttl -= 1
-        current = nxt
+            return RouteResult(Outcome.VOID_DROP, _ids(snapshot, path))
+        path.append(nxt)

@@ -62,9 +62,10 @@ def request_zone(source: Position, ez: ExpectedZone) -> RequestZone:
     )
 
 
-def in_request_zone(p: Position, rz: RequestZone) -> bool:
-    """Boundary-inclusive rectangle membership test."""
+def in_request_zone(x, y, rz: RequestZone):
+    """Boundary-inclusive membership of the point (``x``, ``y``) in ``rz``;
+    on numpy columns of coordinates, a mask over the points."""
     return (
-        rz.min_corner.x <= p.x <= rz.max_corner.x
-        and rz.min_corner.y <= p.y <= rz.max_corner.y
+        (rz.min_corner.x <= x) & (x <= rz.max_corner.x)
+        & (rz.min_corner.y <= y) & (y <= rz.max_corner.y)
     )

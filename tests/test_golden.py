@@ -1,0 +1,38 @@
+"""Golden output: the sha256 of fixed CLI runs.
+
+Seeded output is promised to stay byte-identical, so a change to any of
+these digests is a change of results and must be deliberate.  The runs are
+small (well under a second together) and their TTL never binds.
+"""
+
+import hashlib
+
+import pytest
+
+from geo_route_sim.cli import main
+
+COMPARE = ["compare", "node_count=300", "flows=40", "beacon_interval=1.7", "time_step=0.4"]
+SIMULATE = ["simulate", "protocol=dlar", "field_width=2000", "field_height=2000",
+            "node_count=1500", "flows=40", "beacon_interval=3"]
+
+MC = ["analyze", "--mc-trials", "2000"]
+
+GOLDEN = [
+    (COMPARE, 1, "07db13109687ad2ed9e795cc28b41cc85f061d7d6ff78ef9621762c1ae705202"),
+    (COMPARE, 2, "44f6e98f130a354c7c6b32cecaec044bcdc5714e1b376234e7b83c3fe0fb0481"),
+    (SIMULATE, 1, "c50b087a372a508d0075fff85b619a3c414f8cf529e78838d191b1a25d30e25a"),
+    (SIMULATE, 2, "82531e34bee5f3398f5b4510c39d6cc7d5b06182c317f837216e04b577f73504"),
+    (["analyze"], 1, "d67529ab00a72b516d67882be6e6f04eb7ba26a5e449c5c6b395da320be09b5e"),
+    (["analyze"], 2, "d67529ab00a72b516d67882be6e6f04eb7ba26a5e449c5c6b395da320be09b5e"),
+    (MC, 1, "74efe78927b484dc67e6ec1ad4957d3bf24580ea3fffa27218e96ee303e3a205"),
+    (MC, 2, "ff583726cc9d4ee33b97fdb904026bc231eb3befefd358a5dbe41bb9c9c6aeec"),
+]
+
+
+IDS = [f"{argv[0]}{'-mc' if argv is MC else ''}-seed{seed}" for argv, seed, _ in GOLDEN]
+
+
+@pytest.mark.parametrize("argv,seed,digest", GOLDEN, ids=IDS)
+def test_cli_output_digest(capsys, argv, seed, digest):
+    assert main(argv + ["--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

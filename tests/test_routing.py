@@ -264,6 +264,15 @@ class TestRoute:
         result = route("dir", 0, 3, snap, ttl=3)
         assert result.outcome is Outcome.DELIVERED
 
+    @pytest.mark.parametrize("protocol", ["dir", "lar", "dlar"])
+    def test_ttl_cut_is_a_ttl_drop_for_every_protocol(self, protocol):
+        # Four hops along the line; a budget of three cuts every protocol,
+        # LAR's zone flood included, while relays could still go on.
+        snap = make_snapshot([(100.0 * i, 0) for i in range(5)], 120)
+        assert route(protocol, 0, 4, snap, ttl=3).outcome is Outcome.TTL_DROP
+        result = route(protocol, 0, 4, snap, ttl=4)
+        assert result.outcome is Outcome.DELIVERED and result.path == (0, 1, 2, 3, 4)
+
     def test_ttl_one_still_delivers_direct_neighbor(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)
         assert route("dir", 0, 1, snap, ttl=1).outcome is Outcome.DELIVERED

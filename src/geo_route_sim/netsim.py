@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import distance, wrap_angle
+from .geometry import wrap_angle
 from .routing import (
     DEFAULT_TTL,
     DROP_OUTCOMES,
@@ -129,7 +129,6 @@ class CampaignMetrics:
     delivered: int
     pdr: Optional[float]
     mean_hop_count: Optional[float]
-    mean_path_length_m: Optional[float]
     mean_delay_ms: Optional[float]
     drop_breakdown: dict
 
@@ -229,11 +228,6 @@ def beacon_view(
     return _reflect(snapshot, -lag, field_width, field_height) if lag else snapshot
 
 
-def _path_length_m(path: tuple[int, ...], snapshot: NetworkSnapshot) -> float:
-    points = [snapshot.position(v_id) for v_id in path]
-    return sum(distance(a, b) for a, b in zip(points, points[1:]))
-
-
 def _firing_step(flow_time: float, time_step: float) -> int:
     """Smallest grid step ``s`` with ``flow_time <= s * time_step + 1e-9``; the
     quotient is off by at most one step of rounding, which the checks settle."""
@@ -267,7 +261,6 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
     width, height = config.field_width, config.field_height
 
     results: list[RouteResult] = []
-    path_lengths: list[float] = []
     step = None
     for i in range(config.flows if len(ids) >= 2 else 0):
         fired = _firing_step(i * config.duration / config.flows, config.time_step)
@@ -291,8 +284,6 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
             known_time=tick,
         )
         results.append(result)
-        if result.outcome is Outcome.DELIVERED:
-            path_lengths.append(_path_length_m(result.path, snapshot))
 
     drops = {o.value: 0 for o in DROP_OUTCOMES}
     for r in results:
@@ -301,13 +292,11 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
     hops = [r.hop_count for r in results if r.outcome is Outcome.DELIVERED]
     sent, delivered = len(results), len(hops)
     mean_hops = sum(hops) / len(hops) if hops else None
-    mean_path = sum(path_lengths) / len(path_lengths) if path_lengths else None
     return CampaignMetrics(
         sent=sent,
         delivered=delivered,
         pdr=delivered / sent if sent else None,
         mean_hop_count=mean_hops,
-        mean_path_length_m=mean_path,
         mean_delay_ms=mean_hops * config.per_hop_latency_ms if mean_hops is not None else None,
         drop_breakdown=drops,
     )

@@ -26,6 +26,10 @@ PROTOCOLS = ("dir", "lar", "dlar")
 
 HALF_PI = math.pi / 2.0
 
+# Most entries in one reach matrix of the LAR flood (about 2 MB per float
+# temporary); a level's frontier is cut into blocks of rows to stay under it.
+_FLOOD_BLOCK_ENTRIES = 2**18
+
 
 @dataclass(frozen=True)
 class Vehicle:
@@ -171,16 +175,50 @@ def _ids(snapshot: NetworkSnapshot, rows) -> tuple[int, ...]:
     return tuple(snapshot.ids[rows].tolist())
 
 
+def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
+    """Reach matrix: entry (i, j) says whether ``cols[j]`` lies within
+    transmission range of ``rows[i]``, boundary inclusive (a row reaches
+    itself).  ``rows`` is an index array, ``cols`` an index array or slice.
+
+    Membership equals ``distance(a, b) <= R`` exactly, for every range.  With
+    ``R = m * 2**e`` (``0.5 <= m < 1``), the coordinate differences are
+    scaled by ``2**-e`` before squaring; a power of two scales exactly, so
+    ``R**2`` becomes ``m**2`` and can neither overflow nor go subnormal.  The
+    squared distance then carries at most a 3-ulp rounding error, against
+    the 1-ulp error of ``math.hypot``, so the two can disagree only when d²
+    lies within a relative 2**-50 of R²; pairs within 2**-48 of it are
+    settled by :func:`distance`.  Below the normal range an ulp of
+    ``math.hypot`` is 2**-1074 however small R is, and the band widens to
+    match.
+    """
+    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
+    m, e = math.frexp(reach)
+    # A square that overflows to inf lies far outside any finite range.
+    with np.errstate(over="ignore"):
+        d2 = x[cols] - x[rows, None]
+        np.ldexp(d2, -e, out=d2)
+        d2 *= d2
+        dy = y[cols] - y[rows, None]
+        np.ldexp(dy, -e, out=dy)
+        dy *= dy
+        d2 += dy
+    r2 = m * m
+    band = max(2.0**-48, 2.0**-1070 / reach)
+    inside = d2 <= r2 * (1.0 + band)
+    edge = inside & (d2 >= r2 * (1.0 - band))
+    if edge.any():
+        i, j = np.nonzero(edge)
+        p, q = np.asarray(rows)[i], np.arange(len(x))[cols][j]
+        here, there = zip(x[p].tolist(), y[p].tolist()), zip(x[q].tolist(), y[q].tolist())
+        for a, b, h, t in zip(i.tolist(), j.tolist(), here, there):
+            inside[a, b] = distance(Position(*h), Position(*t)) <= reach
+    return inside
+
+
 def _in_range(snapshot: NetworkSnapshot, row: int) -> np.ndarray:
     """Mask of the rows within transmission range of ``row``, boundary
-    inclusive, ``row`` itself excluded.  ``np.hypot`` and :func:`distance` can
-    differ in the last bit, so distances within a few ulps of the range are
-    settled by the latter."""
-    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
-    d = np.hypot(x - x[row], y - y[row])
-    inside = d <= reach
-    for j in np.flatnonzero(abs(d - reach) <= 4 * np.spacing(reach)).tolist():
-        inside[j] = distance(Position(x[row], y[row]), Position(x[j], y[j])) <= reach
+    inclusive, ``row`` itself excluded."""
+    inside = _within(snapshot, [row], slice(None))[0]
     inside[row] = False
     return inside
 
@@ -300,7 +338,9 @@ def lar_route_discovery(
     destination may receive from a zone relay without being a member itself.
     The flood goes one level per hop: within a level, relays rebroadcast in
     the order they were reached, each reaching its unreached neighbors in
-    ascending id order, which makes the reported path deterministic.  The
+    ascending id order, which makes the reported path deterministic.  A level
+    is computed in blocks of relays against all unreached rows at once,
+    which keeps that order.  The
     packet's ttl bounds the number of levels: a flood cut while zone relays
     still hold the request is a ``ttl_drop``.  There is no fallback to
     unrestricted flooding: an out-of-zone cut is reported as
@@ -315,20 +355,32 @@ def lar_route_discovery(
     relays = in_request_zone(x, y, request_zone(Position(float(x[src]), float(y[src])), ez))
     parent = np.full(len(snapshot), -1)  # -1: not reached yet
     parent[src] = src
-    frontier = [src]
+    unreached = np.flatnonzero(parent < 0)
+    frontier = np.array([src])
     for _ in range(packet.ttl):
         level = []
-        for relay in frontier:
-            new = np.flatnonzero(_in_range(snapshot, relay) & (parent < 0))
-            parent[new] = relay
+        start = 0
+        while start < len(frontier) and len(unreached):
+            stop = start + max(1, _FLOOD_BLOCK_ENTRIES // len(unreached))
+            block = frontier[start:stop]
+            reach = _within(snapshot, block, unreached)
+            hit = reach.any(axis=0)
+            # Each reached row's parent is its first relay in reach order;
+            # sorting stably by it keeps ascending ids within one relay.
+            first = reach[:, hit].argmax(axis=0)
+            order = np.argsort(first, kind="stable")
+            new = unreached[hit][order]
+            parent[new] = block[first[order]]
             if parent[dst] >= 0:
                 path = [dst]
                 while path[-1] != src:
                     path.append(int(parent[path[-1]]))
                 return RouteResult(Outcome.DELIVERED, _ids(snapshot, path[::-1]))
-            level.extend(new[relays[new]].tolist())
-        frontier = level
-    outcome = Outcome.TTL_DROP if frontier else Outcome.ZONE_UNREACHABLE
+            unreached = unreached[~hit]
+            level.append(new[relays[new]])
+            start = stop
+        frontier = np.concatenate(level) if level else frontier[:0]
+    outcome = Outcome.TTL_DROP if len(frontier) else Outcome.ZONE_UNREACHABLE
     return RouteResult(outcome, (source_id,))
 
 

@@ -10,7 +10,7 @@ import random
 from collections import deque
 
 from geo_route_sim.geometry import Position
-from geo_route_sim.routing import NetworkSnapshot, Packet, Vehicle
+from geo_route_sim.routing import NetworkSnapshot, Outcome, Packet, RouteResult, Vehicle
 
 
 def dist(ax, ay, bx, by):
@@ -147,6 +147,45 @@ def lar_bfs_oracle(snapshot, source_id, dest_id, dest_last_x, dest_last_y, radiu
                     return True, depth[vid]
                 queue.append(vid)
     return False, None
+
+
+def lar_flood_by_relay(source_id, packet: Packet, snapshot: NetworkSnapshot, now) -> RouteResult:
+    """LAR discovery flooded one relay at a time.
+
+    Level by level, each relay in the order it was reached claims its
+    unreached neighbors (``math.hypot`` distance at most the range) in
+    ascending id order; claimed vehicles inside the source-anchored request
+    zone relay on the next level.  The reported path follows the claiming
+    relays back from the destination.  The ttl bounds the number of levels: a
+    flood cut while relays still hold the request is a ``ttl_drop``, one that
+    dies out a ``zone_unreachable``.
+    """
+    if source_id == packet.dest_id:
+        return RouteResult(Outcome.DELIVERED, (source_id,))
+    reach = snapshot.transmission_range
+    points = {vid: (v.position.x, v.position.y) for vid, v in sorted(snapshot.vehicles.items())}
+    sx, sy = points[source_id]
+    radius = packet.dest_speed * (now - packet.t0)
+    rect = rect_from(sx, sy, packet.dest_last_pos.x, packet.dest_last_pos.y, radius)
+    parent = {source_id: source_id}
+    frontier = [source_id]
+    for _ in range(packet.ttl):
+        level = []
+        for relay in frontier:
+            rx, ry = points[relay]
+            for vid, (vx, vy) in points.items():
+                if vid not in parent and math.hypot(vx - rx, vy - ry) <= reach:
+                    parent[vid] = relay
+                    if rect_contains(rect, vx, vy):
+                        level.append(vid)
+            if packet.dest_id in parent:
+                path = [packet.dest_id]
+                while path[-1] != source_id:
+                    path.append(parent[path[-1]])
+                return RouteResult(Outcome.DELIVERED, tuple(path[::-1]))
+        frontier = level
+    outcome = Outcome.TTL_DROP if frontier else Outcome.ZONE_UNREACHABLE
+    return RouteResult(outcome, (source_id,))
 
 
 def random_snapshot(rng: random.Random, n=None, size=1000.0, tx=None) -> NetworkSnapshot:

@@ -1,8 +1,10 @@
 """Golden output: the sha256 of fixed CLI runs.
 
 Seeded output is promised to stay byte-identical, so a change to any of
-these digests is a change of results and must be deliberate.  The runs are
-small (well under a second together) and their TTL never binds.
+these digests is a change of results and must be deliberate.  The runs take
+a few seconds together.  Besides small compare, D-LAR and analyze runs, they
+cover a compare run whose ttl of 5 cuts LAR floods short (its lar row counts
+ttl drops) and a dense LAR campaign of 4,000 vehicles.
 """
 
 import hashlib
@@ -11,9 +13,12 @@ import pytest
 
 from geo_route_sim.cli import main
 
+FIELD = ["field_width=2000", "field_height=2000"]
 COMPARE = ["compare", "node_count=300", "flows=40", "beacon_interval=1.7", "time_step=0.4"]
-SIMULATE = ["simulate", "protocol=dlar", "field_width=2000", "field_height=2000",
-            "node_count=1500", "flows=40", "beacon_interval=3"]
+SIMULATE = ["simulate", "protocol=dlar", *FIELD, "node_count=1500", "flows=40", "beacon_interval=3"]
+COMPARE_TTL = ["compare", *FIELD, "node_count=800", "flows=60", "beacon_interval=1.7",
+               "time_step=0.4", "ttl=5"]
+SIMULATE_LAR = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=lar", "flows=20"]
 
 MC = ["analyze", "--mc-trials", "2000"]
 
@@ -26,10 +31,12 @@ GOLDEN = [
     (["analyze"], 2, "d67529ab00a72b516d67882be6e6f04eb7ba26a5e449c5c6b395da320be09b5e"),
     (MC, 1, "74efe78927b484dc67e6ec1ad4957d3bf24580ea3fffa27218e96ee303e3a205"),
     (MC, 2, "ff583726cc9d4ee33b97fdb904026bc231eb3befefd358a5dbe41bb9c9c6aeec"),
+    (COMPARE_TTL, 1, "07e7da0b3fa6b6ec4fccec8e128fef82f73ce362f6287f5c2514e895da832689"),
+    (SIMULATE_LAR, 1, "f8b77b22c72769e3738e7682b1bfc7e20e875823f7b1c5904990825940fb5f46"),
 ]
 
-
-IDS = [f"{argv[0]}{'-mc' if argv is MC else ''}-seed{seed}" for argv, seed, _ in GOLDEN]
+SUFFIX = {id(MC): "-mc", id(COMPARE_TTL): "-ttl5", id(SIMULATE_LAR): "-lar4000"}
+IDS = [f"{argv[0]}{SUFFIX.get(id(argv), '')}-seed{seed}" for argv, seed, _ in GOLDEN]
 
 
 @pytest.mark.parametrize("argv,seed,digest", GOLDEN, ids=IDS)

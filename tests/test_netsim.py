@@ -337,7 +337,6 @@ class TestMetricsRow:
             delivered=7,
             pdr=0.7,
             mean_hop_count=2.5,
-            mean_path_length_m=312.0,
             mean_delay_ms=5.0,
             drop_breakdown={"void_drop": 2, "ttl_drop": 1, "loop_drop": 0, "zone_unreachable": 0},
         )
@@ -350,7 +349,7 @@ class TestMetricsRow:
 
     def test_null_rates_print_empty(self):
         config = small_config()
-        metrics = CampaignMetrics(0, 0, None, None, None, None,
+        metrics = CampaignMetrics(0, 0, None, None, None,
                                   {"void_drop": 0, "ttl_drop": 0, "loop_drop": 0, "zone_unreachable": 0})
         row = metrics_row(config, metrics)
         assert row[6] == "" and row[7] == "" and row[8] == ""

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
+from geo_route_sim import routing
 from geo_route_sim.geometry import Position, distance, wrap_angle
+from geo_route_sim.netsim import SimConfig, generate_nodes
 from geo_route_sim.routing import (
     NetworkSnapshot,
     Outcome,
@@ -77,6 +80,37 @@ class TestNeighbors:
         want = [v.id for v in snap.vehicles.values() if distance(center, v.position) <= reach]
         assert 0 < len(want) - 1 < len(ring)  # the ring straddles the range
         assert neighbors(0, snap) == want[1:]
+
+    @pytest.mark.parametrize("reach", [1e-310, 1e-160, 1e160, 1e300, 3e307, math.inf])
+    def test_membership_exact_at_extreme_ranges(self, reach):
+        # Unscaled, R² and d² overflow or underflow at these ranges; 1e-310
+        # is subnormal, and its scale 2**1029 is no float.  The x difference
+        # of the two big points overflows to inf, and the ring lies at R from
+        # the origin up to rounding.
+        def finite(points):
+            return [p for p in points if math.isfinite(p[0]) and math.isfinite(p[1])]
+
+        big = 1.5e308
+        below, above = math.nextafter(reach, 0.0), math.nextafter(reach, math.inf)
+        fixed = finite([
+            (0.0, 0.0), (reach, 0.0), (below, 0.0), (above, 0.0), (0.0, -reach),
+            (0.8 * reach, 0.7 * reach), (0.5 * reach, 0.5 * reach), (-big, 1.0), (big, 1.0),
+        ])
+        rng = random.Random(60)
+        ring = finite([(reach * math.cos(t), reach * math.sin(t))
+                       for t in (rng.uniform(-math.pi, math.pi) for _ in range(1000))])
+        snap = make_snapshot(fixed + ring, reach)
+        positions = [v.position for v in snap.vehicles.values()]
+        rows, cols = np.arange(len(fixed)), np.arange(len(positions))
+        want = np.array([[distance(positions[i], b) <= reach for b in positions] for i in rows])
+        assert np.array_equal(routing._within(snap, rows, cols), want)
+        for i in rows.tolist():
+            assert neighbors(i, snap) == [j for j in cols.tolist() if j != i and want[i, j]]
+        if math.isfinite(reach):
+            assert [j for j in range(1, 9) if want[0, j]] == [1, 2, 4, 6]
+            assert 0 < want[0, 9:].sum() < len(ring)  # the ring straddles the range
+        else:
+            assert want.all()
 
 
 class TestDirNextHop:
@@ -224,6 +258,47 @@ class TestLarRouteDiscovery:
             assert (result.outcome is Outcome.DELIVERED) == delivered
             if delivered:
                 assert result.hop_count == hops
+
+    @pytest.mark.parametrize("block_entries", [None, 1, 300])
+    def test_matches_per_relay_flood(self, monkeypatch, block_entries):
+        # With a cap of 1 entry every block is one relay; with 300 a level
+        # spans many blocks of a few relays.  Either way rows claimed by an
+        # earlier block must stay claimed.
+        if block_entries is not None:
+            monkeypatch.setattr(routing, "_FLOOD_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(4411)
+        outcomes = set()
+        for _ in range(40):
+            snap = oracles.random_snapshot(rng, n=rng.randint(20, 150), tx=rng.uniform(80, 250))
+            src, dst = rng.sample(sorted(snap.vehicles), 2)
+            last = snap.vehicles[dst].position
+            dest_speed, now = rng.uniform(0, 20), rng.uniform(0, 10)
+            for ttl in (1, 2, 3, 4, 5, 6, 64):
+                packet = dlar_packet(src, dst, last, dest_speed=dest_speed, ttl=ttl)
+                result = lar_route_discovery(src, packet, snap, now)
+                assert result == oracles.lar_flood_by_relay(src, packet, snap, now)
+                outcomes.add(result.outcome)
+        assert outcomes == {Outcome.DELIVERED, Outcome.TTL_DROP, Outcome.ZONE_UNREACHABLE}
+
+    def test_flood_blocks_stay_under_the_entry_cap(self, monkeypatch):
+        snap = generate_nodes(SimConfig(field_width=2000, field_height=2000, node_count=4000))
+        shapes = []
+        within = routing._within
+
+        def spy(snapshot, rows, cols):
+            inside = within(snapshot, rows, cols)
+            shapes.append(inside.shape)
+            return inside
+
+        monkeypatch.setattr(routing, "_within", spy)
+        # Opposite corners, so the request zone spans the field.
+        corner = snap.x + snap.y
+        src, dst = int(np.argmin(corner)), int(np.argmax(corner))
+        assert route("lar", src, dst, snap).outcome is Outcome.DELIVERED
+        cap = routing._FLOOD_BLOCK_ENTRIES
+        assert all(rows * cols <= cap for rows, cols in shapes if rows > 1)
+        # Some level was wide enough to be cut into near-full blocks.
+        assert max(rows * cols for rows, cols in shapes) > cap // 2
 
     def test_unknown_ids(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)

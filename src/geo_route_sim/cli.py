@@ -24,6 +24,9 @@ from .feasibility import AnalyzeConfig, analyze_csv
 from .netsim import METRICS_HEADER, SimConfig, metrics_row, run_campaign
 from .routing import PROTOCOLS
 
+# Most values one --sweep may expand to.
+MAX_SWEEP_STEPS = 1_000
+
 
 class ConfigError(ValueError):
     """Malformed configuration text, override, or value."""
@@ -114,8 +117,8 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"bad sweep {spec!r}: expected key=lo:hi:steps")
     if _SIM_PARSERS.get(key) is not float:
         raise ConfigError(f"sweep key {key!r} is not a numeric simulation parameter")
-    if steps < 1:
-        raise ConfigError(f"sweep steps must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise ConfigError(f"sweep steps must be in [1, {MAX_SWEEP_STEPS}], got {steps}")
     if steps == 1:
         return key, [lo]
     return key, [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]

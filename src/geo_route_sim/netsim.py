@@ -31,6 +31,8 @@ logger = logging.getLogger(__name__)
 
 # Largest campaign accepted, in vehicles; each takes 40 B per snapshot.
 MAX_NODES = 1_000_000
+# Most flows per campaign: 100,000 D-LAR flows between two vehicles take ~9 s.
+MAX_FLOWS = 100_000
 
 METRICS_HEADER = [
     "protocol",
@@ -112,8 +114,8 @@ class SimConfig:
             raise ValueError(f"duration / time_step must be < 2**53, got {steps!r}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.flows < 0:
-            raise ValueError(f"flows must be >= 0, got {self.flows!r}")
+        if not 0 <= self.flows <= MAX_FLOWS:
+            raise ValueError(f"flows must be in [0, {MAX_FLOWS}], got {self.flows!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.ttl <= 0:

@@ -251,6 +251,12 @@ def _greedy_next_hop(
     and those heading within pi/2 of the forwarder are preferred when there
     are any.  The winner, a row, minimises (deviation angle toward ``dest``,
     distance to ``dest``, row); rows are in id order.
+
+    The pool's angles are computed as arrays from the products
+    :func:`deviation_angle` forms; numpy's ``arctan2`` may differ from
+    ``math.atan2`` by an ulp, so the candidates within a relative 2**-40
+    (plus 2**-1000) of the least angle are settled by the exact scalar key.
+    A product that overflows makes the cut NaN, which keeps every candidate.
     """
     inside = _in_range(snapshot, row)
     inside[exclude] = False
@@ -261,10 +267,15 @@ def _greedy_next_hop(
         keep &= in_request_zone(x, y, zone)
         aligned = keep & (np.abs(wrap_angle(snapshot.heading[rows] - heading)) <= HALF_PI)
         keep = aligned if aligned.any() else keep
-    columns = (x[keep].tolist(), y[keep].tolist(), rows[keep].tolist())
-    pool = [(Position(px, py), r) for px, py, r in zip(*columns)]
-    if not pool:
+    x, y, rows = x[keep], y[keep], rows[keep]
+    if not len(rows):
         return None
+    ux, uy, vx, vy = x - here.x, y - here.y, dest.x - here.x, dest.y - here.y
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
+        near = np.flatnonzero(~(angle > angle.min() * (1 + 2**-40) + 2**-1000))
+    columns = (x[near].tolist(), y[near].tolist(), rows[near].tolist())
+    pool = [(Position(px, py), r) for px, py, r in zip(*columns)]
     best = min(pool, key=lambda c: (deviation_angle(here, c[0], dest), distance(c[0], dest), c[1]))
     return best[1]
 

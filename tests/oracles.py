@@ -2,15 +2,27 @@
 
 Everything here is deliberately written from first principles (acos-based
 angles, inline rectangle arithmetic, plain BFS) rather than by calling the
-code under test.
+code under test; :func:`greedy_by_scalar_min` is the one exception, kept as
+the scalar reference of the greedy chooser's exact ranking.
 """
 
 import math
 import random
 from collections import deque
 
-from geo_route_sim.geometry import Position
-from geo_route_sim.routing import NetworkSnapshot, Outcome, Packet, RouteResult, Vehicle
+import numpy as np
+
+from geo_route_sim.geometry import Position, deviation_angle, distance, wrap_angle
+from geo_route_sim.routing import (
+    HALF_PI,
+    NetworkSnapshot,
+    Outcome,
+    Packet,
+    RouteResult,
+    Vehicle,
+    _in_range,
+)
+from geo_route_sim.zones import in_request_zone
 
 
 def dist(ax, ay, bx, by):
@@ -82,6 +94,29 @@ def argmin_next_hop(snapshot, current: Vehicle, target_x, target_y, candidate_id
         if best_key is None or key < best_key:
             best, best_key = uid, key
     return best
+
+
+def greedy_by_scalar_min(snapshot, known, row, here, heading, dest, exclude, zone=None):
+    """The greedy chooser ranked wholly by the scalar key: every candidate's
+    ``(deviation_angle, distance, row)`` through one Python ``min``, with the
+    same arguments and candidate filters as ``routing._greedy_next_hop``.
+    Unlike the acos oracle above it shares the package's exact key, so it
+    pins the chooser's tie-breaking bit for bit."""
+    inside = _in_range(snapshot, row)
+    inside[exclude] = False
+    rows = np.flatnonzero(inside)
+    x, y = known.x[rows], known.y[rows]
+    keep = (x != here.x) | (y != here.y)
+    if zone is not None:
+        keep &= in_request_zone(x, y, zone)
+        aligned = keep & (np.abs(wrap_angle(snapshot.heading[rows] - heading)) <= HALF_PI)
+        keep = aligned if aligned.any() else keep
+    columns = (x[keep].tolist(), y[keep].tolist(), rows[keep].tolist())
+    pool = [(Position(px, py), r) for px, py, r in zip(*columns)]
+    if not pool:
+        return None
+    best = min(pool, key=lambda c: (deviation_angle(here, c[0], dest), distance(c[0], dest), c[1]))
+    return best[1]
 
 
 def dir_oracle(snapshot, current: Vehicle, target_x, target_y, exclude):

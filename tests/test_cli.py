@@ -3,14 +3,16 @@ import time
 import pytest
 
 from geo_route_sim.cli import (
+    MAX_SWEEP_STEPS,
     ConfigError,
     _campaign_csv,
+    _parse_sweep,
     format_config,
     main,
     parse_config,
 )
 from geo_route_sim.feasibility import AnalyzeConfig
-from geo_route_sim.netsim import SimConfig, generate_nodes, snapshot_digest
+from geo_route_sim.netsim import MAX_FLOWS, SimConfig, generate_nodes, snapshot_digest
 from geo_route_sim.routing import PROTOCOLS
 
 ADJACENT_PAIR = [
@@ -255,3 +257,28 @@ def test_extreme_configs_finish_or_name_the_key(capsys, argv, key):
     assert code in (0, 1)
     if code == 1:
         assert key in err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", "flows=1000000000", "node_count=2"], "flows"),
+        (["simulate", "--sweep", "density=0.0001:0.0002:1000000000"], "sweep steps"),
+    ],
+)
+def test_unbounded_work_is_a_config_error(capsys, argv, key):
+    # Work that grows with a count, not a magnitude, is capped up front.
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert key in err
+
+
+def test_work_caps_are_inclusive():
+    SimConfig(flows=MAX_FLOWS).validate()
+    with pytest.raises(ValueError, match="flows"):
+        SimConfig(flows=MAX_FLOWS + 1).validate()
+    assert len(_parse_sweep(f"density=1e-4:2e-4:{MAX_SWEEP_STEPS}")[1]) == MAX_SWEEP_STEPS
+    with pytest.raises(ConfigError, match="sweep steps"):
+        _parse_sweep(f"density=1e-4:2e-4:{MAX_SWEEP_STEPS + 1}")

@@ -4,7 +4,8 @@ Seeded output is promised to stay byte-identical, so a change to any of
 these digests is a change of results and must be deliberate.  The runs take
 a few seconds together.  Besides small compare, D-LAR and analyze runs, they
 cover a compare run whose ttl of 5 cuts LAR floods short (its lar row counts
-ttl drops) and a dense LAR campaign of 4,000 vehicles.
+ttl drops), dense DIR and LAR campaigns of 4,000 vehicles, and DIR and D-LAR
+on a field of 1e300 m, where the greedy chooser's angle products overflow.
 """
 
 import hashlib
@@ -19,6 +20,11 @@ SIMULATE = ["simulate", "protocol=dlar", *FIELD, "node_count=1500", "flows=40", 
 COMPARE_TTL = ["compare", *FIELD, "node_count=800", "flows=60", "beacon_interval=1.7",
                "time_step=0.4", "ttl=5"]
 SIMULATE_LAR = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=lar", "flows=20"]
+SIMULATE_DIR = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=dir",
+                "flows=100", "beacon_interval=3"]
+HUGE = ["simulate", "field_width=1e300", "field_height=1e300", "tx_range=2.5e299",
+        "node_count=60", "flows=30"]
+HUGE_DIR, HUGE_DLAR = HUGE + ["protocol=dir"], HUGE + ["protocol=dlar"]
 
 MC = ["analyze", "--mc-trials", "2000"]
 
@@ -33,9 +39,15 @@ GOLDEN = [
     (MC, 2, "ff583726cc9d4ee33b97fdb904026bc231eb3befefd358a5dbe41bb9c9c6aeec"),
     (COMPARE_TTL, 1, "07e7da0b3fa6b6ec4fccec8e128fef82f73ce362f6287f5c2514e895da832689"),
     (SIMULATE_LAR, 1, "f8b77b22c72769e3738e7682b1bfc7e20e875823f7b1c5904990825940fb5f46"),
+    (SIMULATE_DIR, 1, "9aaa1eac2480de4ba9adc5b8183f63b77daabf398d1d087a6edc5d6ea685c2ae"),
+    (HUGE_DIR, 1, "491d16114dbd998f2e77b1b81f652248a80882a89d8e96099395e9c352fa3d98"),
+    (HUGE_DLAR, 1, "0ead0ad9e56b89c7f5f1d7a25258fe1c970fca6a91631626d2b10a97586516cc"),
 ]
 
-SUFFIX = {id(MC): "-mc", id(COMPARE_TTL): "-ttl5", id(SIMULATE_LAR): "-lar4000"}
+SUFFIX = {
+    id(MC): "-mc", id(COMPARE_TTL): "-ttl5", id(SIMULATE_LAR): "-lar4000",
+    id(SIMULATE_DIR): "-dir4000", id(HUGE_DIR): "-dir1e300", id(HUGE_DLAR): "-dlar1e300",
+}
 IDS = [f"{argv[0]}{SUFFIX.get(id(argv), '')}-seed{seed}" for argv, seed, _ in GOLDEN]
 
 

@@ -19,6 +19,7 @@ from geo_route_sim.routing import (
     neighbors,
     route,
 )
+from geo_route_sim.zones import expected_zone, request_zone
 
 
 def make_snapshot(points, tx, headings=None, speeds=None):
@@ -153,6 +154,55 @@ class TestDirNextHop:
         snap = make_snapshot([(0, 0), (20, 0)], 100)
         with pytest.raises(ValueError):
             dir_next_hop(snap.vehicles[0], Position(0, 0), snap)
+
+
+class TestGreedyNextHop:
+    @pytest.mark.parametrize("scale", [1e-300, 0.1, 1.0, 7.3, 1e150, 1e300])
+    def test_matches_scalar_min(self, scale):
+        # Lattice points on one ray from the forwarder tie exactly in angle at
+        # different distances, and at scales 0.1 and 7.3 their products
+        # round apart, so numpy's and math's arctangents can order them
+        # differently by an ulp.  At 1e-300 the products underflow (all
+        # angles tie at 0); at 1e300 they overflow to NaN.  A lagged known
+        # view moves some candidates elsewhere, some onto the forwarder.
+        rng = random.Random(repr(scale))
+        for _ in range(200):
+            mode = rng.choice(["ray", "ray", "lattice", "uniform"])
+            pick = rng.uniform if mode == "uniform" else rng.randint
+
+            def spot():
+                return Position(pick(0, 12) * scale, pick(0, 12) * scale)
+
+            if mode == "ray":
+                dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+                points = [Position((6 + k * dx) * scale, (6 + k * dy) * scale) for k in range(5)]
+            else:
+                points = [spot() for _ in range(rng.randint(2, 40))]
+            n = len(points)
+            headings = [rng.choice([0.0, 1.0, -2.0, math.pi]) for _ in range(n)]
+            tx = rng.choice([4.0, 9.0, 20.0]) * scale
+            row = 0 if mode == "ray" else rng.randrange(n)
+            here, dest = points[row], spot()
+            if dest == here:
+                continue
+            lagged = [
+                p if rng.random() < 0.8 else (here if rng.random() < 0.3 else spot())
+                for p in points
+            ]
+            snap, known = (
+                NetworkSnapshot(
+                    [Vehicle(i, p, 1.0, h) for i, (p, h) in enumerate(zip(at, headings))], tx
+                )
+                for at in (points, lagged)
+            )
+            exclude = [row] + rng.sample(range(n), rng.randint(0, n // 4))
+            for zoned in (False, True):
+                zone = None
+                if zoned:
+                    speed = rng.choice([0.0, 1.0, 4.0]) * scale
+                    zone = request_zone(here, expected_zone(dest, speed, 0.0, 1.0))
+                args = (snap, known, row, here, headings[row], dest, exclude, zone)
+                assert routing._greedy_next_hop(*args) == oracles.greedy_by_scalar_min(*args)
 
 
 def dlar_packet(source_id, dest_id, dest_last_pos, dest_speed=0.0, t0=0.0, visited=None, ttl=64):

@@ -15,11 +15,13 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-# Most expected points per Monte Carlo trial; all trials' draws sit in memory.
+# Most expected points per Monte Carlo trial; bounds the work of one trial.
 MAX_TRIAL_POINTS = 1_000_000
-# Most expected slots in one Monte Carlo draw: each trial holds its own count
-# plus the points of its box.
+# Most expected slots in one Monte Carlo draw, each trial's count plus the
+# points of its box; bounds the work of one draw, which streams its points.
 MAX_DRAW_POINTS = 50_000_000
+# Points drawn per block of a Monte Carlo draw, small enough to stay in cache.
+_BLOCK_POINTS = 2**15
 
 class RegionKind(Enum):
     FULL_CIRCLE = "full_circle"
@@ -105,6 +107,11 @@ def region_counts(
     placed points, never from the analytic pmf, which keeps the Monte Carlo
     estimates an independent check on the closed forms.  ``params.k`` is not
     used.
+
+    The draws equal the one-shot draw: the box counts, then every point's x,
+    then every point's y, all from one generator seeded with ``seed``.  They
+    are taken in blocks of ``_BLOCK_POINTS`` points, so memory holds a few
+    values per trial plus one block.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -112,17 +119,31 @@ def region_counts(
     r = params.tx_range
     low, high = (-r, r) if region is RegionKind.FULL_CIRCLE else (0.0, r)
     box_area = (high - low) ** 2
-    box_counts = rng.poisson(params.density * box_area, size=trials)
-    total = int(box_counts.sum())
-    xs = rng.uniform(low, high, size=total)
-    ys = rng.uniform(low, high, size=total)
-    np.multiply(xs, xs, out=xs)
-    np.multiply(ys, ys, out=ys)
-    xs += ys
-    inside = xs <= r * r
-    del xs, ys
-    owner = np.repeat(np.arange(trials), box_counts)
-    return np.bincount(owner[inside], minlength=trials)
+    ends = np.cumsum(rng.poisson(params.density * box_area, size=trials))
+    total = int(ends[-1])
+    # Each uniform double takes exactly one 64-bit output, so a copy of the
+    # stream advanced past all the xs yields the ys.
+    y_bits = np.random.PCG64()
+    y_bits.state = rng.bit_generator.state
+    y_rng = np.random.Generator(y_bits.advance(total))
+    # hits_to_end[t]: region points among the draws of trials 0..t
+    hits_to_end = np.zeros(trials, dtype=np.int64)
+    hits = 0
+    first = int(np.searchsorted(ends, 0, side="right"))  # first trial not yet ended
+    for start in range(0, total, _BLOCK_POINTS):
+        stop = min(start + _BLOCK_POINTS, total)
+        xs = rng.uniform(low, high, size=stop - start)
+        ys = y_rng.uniform(low, high, size=stop - start)
+        np.multiply(xs, xs, out=xs)
+        np.multiply(ys, ys, out=ys)
+        xs += ys
+        running = np.cumsum(xs <= r * r)
+        running += hits
+        last = first + int(np.searchsorted(ends[first:], stop, side="right"))
+        hits_to_end[first:last] = running[ends[first:last] - (start + 1)]
+        hits = int(running[-1])
+        first = last
+    return np.diff(hits_to_end, prepend=0)
 
 
 def _estimate(hits: int, trials: int) -> MonteCarloEstimate:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,6 +26,18 @@ def params_for_mean(mean: float, region: RegionKind, tx_range: float = 250.0, k:
     """Density such that the chosen region has the requested expected count."""
     full_mean = mean if region is RegionKind.FULL_CIRCLE else 4.0 * mean
     return FeasibilityParams(full_mean / (math.pi * tx_range**2), tx_range, k)
+
+
+def one_shot_counts(params: FeasibilityParams, region: RegionKind, trials: int, seed: int):
+    """Region counts from every point of every trial drawn at once."""
+    rng = np.random.default_rng(seed)
+    r = params.tx_range
+    low, high = (-r, r) if region is RegionKind.FULL_CIRCLE else (0.0, r)
+    box_counts = rng.poisson(params.density * (high - low) ** 2, size=trials)
+    xs = rng.uniform(low, high, size=int(box_counts.sum()))
+    ys = rng.uniform(low, high, size=xs.size)
+    owner = np.repeat(np.arange(trials), box_counts)
+    return np.bincount(owner[(xs * xs + ys * ys) <= r * r], minlength=trials)
 
 
 def pmf_reference(n: int, mean: float) -> float:
@@ -186,6 +199,45 @@ class TestMonteCarlo:
         owner = np.repeat(np.arange(5000), box_counts)
         expected = np.bincount(owner[(xs * xs + ys * ys) <= r * r], minlength=5000)
         assert np.array_equal(region_counts(params, region, 5000, 11), expected)
+
+
+class TestRegionCountBlocks:
+    """The streamed draw equals the one-shot draw wherever the blocks fall."""
+
+    @pytest.mark.parametrize("region", list(RegionKind))
+    @pytest.mark.parametrize("block,trials", [(1, 300), (7, 300), (None, 20_000), (None, 1)])
+    def test_any_block_size(self, monkeypatch, region, block, trials):
+        if block is not None:
+            monkeypatch.setattr(feasibility, "_BLOCK_POINTS", block)
+        params = params_for_mean(6.0, region)
+        expected = one_shot_counts(params, region, trials, 3)
+        assert np.array_equal(region_counts(params, region, trials, 3), expected)
+
+    @pytest.mark.parametrize("region", list(RegionKind))
+    def test_one_trial_spans_blocks(self, region):
+        # Each box holds about three blocks of points.
+        r = 10.0
+        side = 2.0 * r if region is RegionKind.FULL_CIRCLE else r
+        params = FeasibilityParams(3.0 * feasibility._BLOCK_POINTS / side**2, r)
+        expected = one_shot_counts(params, region, 4, 5)
+        assert np.array_equal(region_counts(params, region, 4, 5), expected)
+
+    @pytest.mark.parametrize("region", list(RegionKind))
+    def test_no_points_at_all(self, region):
+        params = FeasibilityParams(1e-12, 250.0)
+        counts = region_counts(params, region, 50, 1)
+        assert counts.shape == (50,) and not counts.any()
+        assert np.array_equal(counts, one_shot_counts(params, region, 50, 1))
+
+    def test_memory_holds_one_block_not_the_draw(self):
+        # The one-shot draw of these 3,000,000 box points peaks near 50 MB.
+        tracemalloc.start()
+        try:
+            region_counts(FeasibilityParams(0.0004, 250.0), RegionKind.FULL_CIRCLE, 30_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestFeasibilityTable:

@@ -6,6 +6,9 @@ a few seconds together.  Besides small compare, D-LAR and analyze runs, they
 cover a compare run whose ttl of 5 cuts LAR floods short (its lar row counts
 ttl drops), dense DIR and LAR campaigns of 4,000 vehicles, and DIR and D-LAR
 on a field of 1e300 m, where the greedy chooser's angle products overflow.
+Two analyze runs stress the streamed Monte Carlo draw: 30,000 trials, whose
+draws span about a hundred blocks, and a density whose every trial holds more
+points than one block.
 """
 
 import hashlib
@@ -27,6 +30,8 @@ HUGE = ["simulate", "field_width=1e300", "field_height=1e300", "tx_range=2.5e299
 HUGE_DIR, HUGE_DLAR = HUGE + ["protocol=dir"], HUGE + ["protocol=dlar"]
 
 MC = ["analyze", "--mc-trials", "2000"]
+MC_BENCH = ["analyze", "--mc-trials", "30000"]
+MC_DENSE = ["analyze", "densities=0.2", "k_max=3", "--mc-trials", "50"]
 
 GOLDEN = [
     (COMPARE, 1, "07db13109687ad2ed9e795cc28b41cc85f061d7d6ff78ef9621762c1ae705202"),
@@ -37,6 +42,8 @@ GOLDEN = [
     (["analyze"], 2, "d67529ab00a72b516d67882be6e6f04eb7ba26a5e449c5c6b395da320be09b5e"),
     (MC, 1, "74efe78927b484dc67e6ec1ad4957d3bf24580ea3fffa27218e96ee303e3a205"),
     (MC, 2, "ff583726cc9d4ee33b97fdb904026bc231eb3befefd358a5dbe41bb9c9c6aeec"),
+    (MC_BENCH, 1, "8e5a015c0ce176373c354a336c94308936eab98311af7eefc31c09d8eea2d0a2"),
+    (MC_DENSE, 1, "2dd74a920c39468ee8f25d3b8b0087024d438cdbb79b1ebe46de5402df8820d5"),
     (COMPARE_TTL, 1, "07e7da0b3fa6b6ec4fccec8e128fef82f73ce362f6287f5c2514e895da832689"),
     (SIMULATE_LAR, 1, "f8b77b22c72769e3738e7682b1bfc7e20e875823f7b1c5904990825940fb5f46"),
     (SIMULATE_DIR, 1, "9aaa1eac2480de4ba9adc5b8183f63b77daabf398d1d087a6edc5d6ea685c2ae"),
@@ -45,7 +52,7 @@ GOLDEN = [
 ]
 
 SUFFIX = {
-    id(MC): "-mc", id(COMPARE_TTL): "-ttl5", id(SIMULATE_LAR): "-lar4000",
+    id(MC): "-mc", id(MC_BENCH): "-mc30000", id(MC_DENSE): "-mc-dense", id(COMPARE_TTL): "-ttl5", id(SIMULATE_LAR): "-lar4000",
     id(SIMULATE_DIR): "-dir4000", id(HUGE_DIR): "-dir1e300", id(HUGE_DLAR): "-dlar1e300",
 }
 IDS = [f"{argv[0]}{SUFFIX.get(id(argv), '')}-seed{seed}" for argv, seed, _ in GOLDEN]

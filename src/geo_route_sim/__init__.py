@@ -12,7 +12,6 @@ from .feasibility import (
     MonteCarloEstimate,
     RegionKind,
     analyze_csv,
-    feasibility_table,
     mean_node_count,
     monte_carlo_at_least_k,
     poisson_pmf,
@@ -35,9 +34,7 @@ from .routing import (
     NetworkSnapshot,
     Outcome,
     PROTOCOLS,
-    Packet,
     RouteResult,
-    Vehicle,
     dir_next_hop,
     dlar_next_hop,
     lar_route_discovery,
@@ -65,13 +62,11 @@ __all__ = [
     "NetworkSnapshot",
     "Outcome",
     "PROTOCOLS",
-    "Packet",
     "Position",
     "RegionKind",
     "RequestZone",
     "RouteResult",
     "SimConfig",
-    "Vehicle",
     "analyze_csv",
     "beacon_view",
     "bearing",
@@ -80,7 +75,6 @@ __all__ = [
     "distance",
     "dlar_next_hop",
     "expected_zone",
-    "feasibility_table",
     "generate_nodes",
     "in_request_zone",
     "lar_route_discovery",

@@ -11,7 +11,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -162,22 +162,6 @@ def monte_carlo_at_least_k(
     """
     hits = np.count_nonzero(region_counts(params, region, trials, seed) >= params.k)
     return _estimate(hits, trials)
-
-
-def feasibility_table(
-    densities: Iterable[float],
-    tx_range: float,
-    k_max: int,
-    region: RegionKind,
-) -> list[tuple[float, int, float]]:
-    """Rows (density, k, P(>=k)) for k = 1..k_max, ordered density then k ascending."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max!r}")
-    rows = []
-    for density in sorted(densities):
-        mean = mean_node_count(FeasibilityParams(density, tx_range), region)
-        rows.extend((density, k, prob_at_least_k(k, mean)) for k in range(1, k_max + 1))
-    return rows
 
 
 @dataclass

@@ -164,7 +164,7 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
     speeds = motion_rng.uniform(config.speed_min, config.speed_max, size=count)
     # Headings are wrapped twice, the sequence seeded campaigns have always
     # used, so their output stays byte-identical.
-    return NetworkSnapshot.from_columns(
+    return NetworkSnapshot(
         config.tx_range, np.arange(count), xs, ys, speeds, wrap_angle(wrap_angle(headings))
     )
 
@@ -186,7 +186,7 @@ def _reflect(snapshot: NetworkSnapshot, t: float, width: float, height: float) -
     heading = np.where(flip_y, -heading, heading)
     x = np.where(flip_x, 2.0 * width - ux, ux)
     y = np.where(flip_y, 2.0 * height - uy, uy)
-    return NetworkSnapshot.from_columns(
+    return NetworkSnapshot(
         snapshot.transmission_range, snapshot.ids, x, y, speed, wrap_angle(heading)
     )
 

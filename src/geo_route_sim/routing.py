@@ -6,19 +6,19 @@ reachability and the delivery check always follow the snapshot's true
 positions, while the angle metric and zone membership of candidates may use
 the stale positions a forwarder would actually know from beacons.
 
-Inside this module a vehicle is its row in the snapshot's columns; ids and
-:class:`Vehicle` objects appear only at the public functions.
+Inside this module a vehicle is its row in the snapshot's columns; ids
+appear only at the public functions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .geometry import Position, deviation_angle, distance, wrap_angle
-from .zones import expected_zone, in_request_zone, request_zone
+from .zones import ExpectedZone, expected_zone, in_request_zone, request_zone
 
 DEFAULT_TTL = 64
 
@@ -31,67 +31,35 @@ HALF_PI = math.pi / 2.0
 _FLOOD_BLOCK_ENTRIES = 2**18
 
 
-@dataclass(frozen=True)
-class Vehicle:
-    """A network node: identity, true position, and motion state."""
-
-    id: int
-    position: Position
-    speed: float = 0.0
-    heading: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.speed) or self.speed < 0:
-            raise ValueError(f"vehicle speed must be finite and >= 0, got {self.speed!r}")
-        # A heading already in (-pi, pi] is kept bit for bit, so a vehicle
-        # built from a snapshot's columns carries the heading routing uses.
-        if not -math.pi < self.heading <= math.pi:
-            object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-
 class NetworkSnapshot:
     """An immutable view of all vehicles sharing one transmission range.
 
     Motion state lives in read-only numpy columns ``ids``, ``x``, ``y``,
-    ``speed`` and ``heading``, in ascending id order.  The ``vehicles`` dict
-    is built from them on first use.
+    ``speed`` and ``heading``; vehicle ``ids[i]`` sits at row ``i``.  Ids
+    are integers in strictly ascending order, positions and headings are
+    finite, and speeds are finite and >= 0.  Columns that already are numpy
+    arrays of the right type are used without a copy and made read-only.
     """
 
-    def __init__(self, vehicles: Iterable[Vehicle], transmission_range: float):
-        by_id: dict[int, Vehicle] = {}
-        for vehicle in vehicles:
-            if vehicle.id in by_id:
-                raise ValueError(f"duplicate vehicle id {vehicle.id}")
-            by_id[vehicle.id] = vehicle
-        ordered = [by_id[vid] for vid in sorted(by_id)]
-        motion = [(v.position.x, v.position.y, v.speed, v.heading) for v in ordered]
-        columns = np.array(motion, dtype=float).reshape(-1, 4).T.copy()
-        self._set_columns(transmission_range, np.array(sorted(by_id), dtype=np.int64), *columns)
-        self._vehicles = {v.id: v for v in ordered}
-
-    @classmethod
-    def from_columns(cls, transmission_range, ids, x, y, speed, heading) -> "NetworkSnapshot":
-        """A snapshot over existing columns (``ids`` ascending and distinct);
-        no per-vehicle object is built."""
-        snapshot = cls.__new__(cls)
-        snapshot._set_columns(transmission_range, ids, x, y, speed, heading)
-        return snapshot
-
-    def _set_columns(self, transmission_range, ids, x, y, speed, heading) -> None:
+    def __init__(self, transmission_range: float, ids, x, y, speed, heading):
         if not transmission_range > 0:
             raise ValueError(f"transmission_range must be > 0, got {transmission_range!r}")
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"ids must be 1-D integers, got {ids.dtype} of shape {ids.shape}")
+        if not (ids[1:] > ids[:-1]).all():
+            raise ValueError("ids must be in strictly ascending order")
+        x, y, speed, heading = (np.asarray(c, dtype=float) for c in (x, y, speed, heading))
+        if any(c.shape != ids.shape for c in (x, y, speed, heading)):
+            raise ValueError("x, y, speed and heading must each hold one value per id")
+        if not all(np.isfinite(c).all() for c in (x, y, heading)):
+            raise ValueError("x, y and heading must be finite")
+        if not ((0.0 <= speed) & (speed < math.inf)).all():
+            raise ValueError("speed must be finite and >= 0")
         self.transmission_range = float(transmission_range)
         for column in (ids, x, y, speed, heading):
             column.flags.writeable = False
         self.ids, self.x, self.y, self.speed, self.heading = ids, x, y, speed, heading
-        self._vehicles: Optional[dict[int, Vehicle]] = None
-
-    @property
-    def vehicles(self) -> dict[int, Vehicle]:
-        """Every vehicle by id, in ascending id order."""
-        if self._vehicles is None:
-            self._vehicles = {vid: self.vehicle(vid) for vid in self.ids.tolist()}
-        return self._vehicles
 
     def row(self, v_id: int) -> int:
         """Column index of vehicle ``v_id``."""
@@ -99,14 +67,6 @@ class NetworkSnapshot:
         if i == len(self.ids) or self.ids[i] != v_id:
             raise KeyError(f"unknown vehicle id {v_id}")
         return i
-
-    def position(self, v_id: int) -> Position:
-        i = self.row(v_id)
-        return Position(float(self.x[i]), float(self.y[i]))
-
-    def vehicle(self, v_id: int) -> Vehicle:
-        i = self.row(v_id)
-        return Vehicle(v_id, self.position(v_id), float(self.speed[i]), float(self.heading[i]))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -127,36 +87,6 @@ class Outcome(str, Enum):
 
 
 DROP_OUTCOMES = tuple(o for o in Outcome if o is not Outcome.DELIVERED)
-
-
-@dataclass
-class Packet:
-    """A routed unit: destination knowledge plus the hop trace and budget.
-
-    ``dest_last_pos``/``dest_speed``/``t0`` are what the sender knew about the
-    destination when it last heard a beacon; the visited list doubles as the
-    loop guard and the delivered-path record.
-    """
-
-    source_id: int
-    dest_id: int
-    dest_last_pos: Position
-    dest_speed: float
-    t0: float
-    visited: list[int] = field(default_factory=list)
-    ttl: int = DEFAULT_TTL
-
-    def __post_init__(self) -> None:
-        if not self.visited:
-            self.visited = [self.source_id]
-        if self.visited[0] != self.source_id:
-            raise ValueError("packet visited trace must begin with the source id")
-        if len(set(self.visited)) != len(self.visited):
-            raise ValueError("packet visited trace repeats a vehicle id")
-        if self.dest_speed < 0:
-            raise ValueError(f"dest_speed must be >= 0, got {self.dest_speed!r}")
-        if self.ttl < 0:
-            raise ValueError(f"ttl must be >= 0, got {self.ttl!r}")
 
 
 @dataclass(frozen=True)
@@ -280,67 +210,68 @@ def _greedy_next_hop(
     return best[1]
 
 
-def _vehicle_next_hop(current, dest, snapshot, known, exclude, zone=None) -> Optional[Vehicle]:
-    """:func:`_greedy_next_hop` for the public API: a vehicle and ids in, a vehicle out."""
+def _next_hop(v_id, dest, snapshot, exclude, known, ez=None) -> Optional[int]:
+    """:func:`_greedy_next_hop` behind the public seams: the forwarder is
+    named by id and read from its snapshot row, and the choice is an id.
+    With an expected zone ``ez``, the request zone is anchored at the
+    forwarder (D-LAR)."""
+    row = snapshot.row(v_id)
+    here = Position(float(snapshot.x[row]), float(snapshot.y[row]))
+    if dest == here:
+        raise ValueError("destination position coincides with the forwarder")
+    zone = None if ez is None else request_zone(here, ez)
     excluded = np.flatnonzero(np.isin(snapshot.ids, list(exclude)))
     best = _greedy_next_hop(
-        snapshot, _known_view(known, snapshot), snapshot.row(current.id),
-        current.position, current.heading, dest, excluded, zone,
+        snapshot, _known_view(known, snapshot), row, here,
+        float(snapshot.heading[row]), dest, excluded, zone,
     )
-    return None if best is None else snapshot.vehicle(int(snapshot.ids[best]))
+    return None if best is None else int(snapshot.ids[best])
 
 
 def dir_next_hop(
-    current: Vehicle,
+    v_id: int,
     dest_pos: Position,
     snapshot: NetworkSnapshot,
     exclude: Iterable[int] = (),
     known: Optional[NetworkSnapshot] = None,
-) -> Optional[Vehicle]:
-    """Compass choice: the neighbor whose direction is closest to ``dest_pos``.
+) -> Optional[int]:
+    """Compass choice: the id of the neighbor whose direction from vehicle
+    ``v_id`` is closest to ``dest_pos``.
 
-    Candidates are neighbors of ``current`` whose ids are not in ``exclude``
+    Candidates are neighbors of ``v_id`` whose ids are not in ``exclude``
     (the packet's visited trace), measured at their positions in ``known``
     (default: ``snapshot``).  Ties break toward the smaller distance to the
     destination, then the smaller id.  Returns None when no candidate exists.
     """
-    if dest_pos == current.position:
-        raise ValueError("destination position coincides with the forwarder")
-    return _vehicle_next_hop(current, dest_pos, snapshot, known, exclude)
+    return _next_hop(v_id, dest_pos, snapshot, exclude, known)
 
 
 def dlar_next_hop(
-    current: Vehicle,
-    packet: Packet,
+    v_id: int,
+    ez: ExpectedZone,
     snapshot: NetworkSnapshot,
-    now: float,
+    exclude: Iterable[int] = (),
     known: Optional[NetworkSnapshot] = None,
-) -> Optional[Vehicle]:
+) -> Optional[int]:
     """Zone-restricted compass choice with a same-heading preference.
 
-    The request zone is re-anchored at the forwarder and sized from the
-    packet's destination knowledge at time ``now``.  Candidates are unvisited
-    neighbors whose known position lies inside the zone; among them, vehicles
-    heading within pi/2 of the forwarder's heading are preferred, falling back
-    to every zone candidate when none is aligned.  Ties break as in
+    ``ez`` is the destination's expected zone, centred on its known
+    position, which the choice steers toward.  The request zone is anchored
+    at vehicle ``v_id``.  Candidates are neighbors outside ``exclude`` whose
+    known position lies inside the zone; among them, vehicles heading within
+    pi/2 of the forwarder's heading are preferred, falling back to every
+    zone candidate when none is aligned.  Ties break as in
     :func:`dir_next_hop`.
     """
-    if now < packet.t0:
-        raise ValueError(f"now must be >= packet.t0, got now={now!r}, t0={packet.t0!r}")
-    if packet.dest_last_pos == current.position:
-        raise ValueError("destination position coincides with the forwarder")
-    rz = request_zone(
-        current.position,
-        expected_zone(packet.dest_last_pos, packet.dest_speed, packet.t0, now),
-    )
-    return _vehicle_next_hop(current, packet.dest_last_pos, snapshot, known, packet.visited, rz)
+    return _next_hop(v_id, ez.center, snapshot, exclude, known, ez)
 
 
 def lar_route_discovery(
     source_id: int,
-    packet: Packet,
+    dest_id: int,
     snapshot: NetworkSnapshot,
-    now: float,
+    ez: ExpectedZone,
+    ttl: int,
 ) -> RouteResult:
     """Zone-gated RREQ flooding, reported as the first (minimum-hop) arrival.
 
@@ -351,24 +282,25 @@ def lar_route_discovery(
     the order they were reached, each reaching its unreached neighbors in
     ascending id order, which makes the reported path deterministic.  A level
     is computed in blocks of relays against all unreached rows at once,
-    which keeps that order.  The
-    packet's ttl bounds the number of levels: a flood cut while zone relays
-    still hold the request is a ``ttl_drop``.  There is no fallback to
-    unrestricted flooding: an out-of-zone cut is reported as
+    which keeps that order.  The request zone covers the destination's
+    expected zone ``ez``.  ``ttl`` (> 0) bounds the number of levels: a flood
+    cut while zone relays still hold the request is a ``ttl_drop``.  There is
+    no fallback to unrestricted flooding: an out-of-zone cut is reported as
     ``zone_unreachable``.
     """
-    src, dst = snapshot.row(source_id), snapshot.row(packet.dest_id)
+    if ttl <= 0:
+        raise ValueError(f"ttl must be > 0, got {ttl!r}")
+    src, dst = snapshot.row(source_id), snapshot.row(dest_id)
     if src == dst:
         return RouteResult(Outcome.DELIVERED, (source_id,))
     x, y = snapshot.x, snapshot.y
-    ez = expected_zone(packet.dest_last_pos, packet.dest_speed, packet.t0, now)
     # The source always lies inside its own request zone, so it relays.
     relays = in_request_zone(x, y, request_zone(Position(float(x[src]), float(y[src])), ez))
     parent = np.full(len(snapshot), -1)  # -1: not reached yet
     parent[src] = src
     unreached = np.flatnonzero(parent < 0)
     frontier = np.array([src])
-    for _ in range(packet.ttl):
+    for _ in range(ttl):
         level = []
         start = 0
         while start < len(frontier) and len(unreached):
@@ -429,12 +361,10 @@ def route(
         return RouteResult(Outcome.DELIVERED, (source_id,))
     x, y = snapshot.x, snapshot.y
     dest_last = Position(float(known.x[dst]), float(known.y[dst]))
-    dest_speed = float(snapshot.speed[dst])
     t0 = now if known_time is None else known_time
+    ez = expected_zone(dest_last, float(snapshot.speed[dst]), t0, now)
     if protocol == "lar":
-        packet = Packet(source_id, dest_id, dest_last, dest_speed, t0, ttl=ttl)
-        return lar_route_discovery(source_id, packet, snapshot, now)
-    ez = expected_zone(dest_last, dest_speed, t0, now)
+        return lar_route_discovery(source_id, dest_id, snapshot, ez, ttl)
     dest = Position(float(x[dst]), float(y[dst]))
     path = [src]
     while True:

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles (acos-based
 angles, inline rectangle arithmetic, plain BFS) rather than by calling the
 code under test; :func:`greedy_by_scalar_min` is the one exception, kept as
-the scalar reference of the greedy chooser's exact ranking.
+the scalar reference of the greedy chooser's exact ranking.  Snapshots are
+read through their public columns only.
 """
 
 import math
@@ -13,16 +14,30 @@ from collections import deque
 import numpy as np
 
 from geo_route_sim.geometry import Position, deviation_angle, distance, wrap_angle
-from geo_route_sim.routing import (
-    HALF_PI,
-    NetworkSnapshot,
-    Outcome,
-    Packet,
-    RouteResult,
-    Vehicle,
-    _in_range,
-)
+from geo_route_sim.routing import HALF_PI, NetworkSnapshot, Outcome, RouteResult, neighbors
 from geo_route_sim.zones import in_request_zone
+
+
+def make_snapshot(points, tx, headings=None, speeds=None) -> NetworkSnapshot:
+    """Vehicles 0..n-1 at ``points`` (x, y pairs); ``headings`` and
+    ``speeds`` map an id to its value, which defaults to 0."""
+    headings = headings or {}
+    speeds = speeds or {}
+    ids = np.arange(len(points))
+    x = np.array([float(p[0]) for p in points])
+    y = np.array([float(p[1]) for p in points])
+    speed = np.array([float(speeds.get(i, 0.0)) for i in ids.tolist()])
+    heading = np.array([float(headings.get(i, 0.0)) for i in ids.tolist()])
+    return NetworkSnapshot(tx, ids, x, y, speed, heading)
+
+
+def coordinates(snapshot: NetworkSnapshot) -> dict[int, tuple[float, float]]:
+    """Every vehicle's (x, y) by id, in ascending id order."""
+    return dict(zip(snapshot.ids.tolist(), zip(snapshot.x.tolist(), snapshot.y.tolist())))
+
+
+def position(snapshot: NetworkSnapshot, v_id: int) -> Position:
+    return Position(*coordinates(snapshot)[v_id])
 
 
 def dist(ax, ay, bx, by):
@@ -59,36 +74,32 @@ def rect_contains(rect, x, y):
 
 
 def neighbor_ids(snapshot: NetworkSnapshot, v_id: int) -> set[int]:
-    v = snapshot.vehicles[v_id]
+    at = coordinates(snapshot)
+    vx, vy = at[v_id]
     reach = snapshot.transmission_range
+    return {uid for uid, (ux, uy) in at.items() if uid != v_id and dist(vx, vy, ux, uy) <= reach}
+
+
+def dir_candidates(snapshot, v_id, exclude) -> set[int]:
+    excluded = set(exclude)
+    at = coordinates(snapshot)
     return {
         uid
-        for uid, u in snapshot.vehicles.items()
-        if uid != v_id and dist(v.position.x, v.position.y, u.position.x, u.position.y) <= reach
+        for uid in neighbor_ids(snapshot, v_id)
+        if uid not in excluded and at[uid] != at[v_id]
     }
 
 
-def dir_candidates(snapshot, current: Vehicle, exclude) -> set[int]:
-    excluded = set(exclude)
-    out = set()
-    for uid in neighbor_ids(snapshot, current.id):
-        if uid in excluded:
-            continue
-        u = snapshot.vehicles[uid]
-        if u.position == current.position:
-            continue
-        out.add(uid)
-    return out
-
-
-def argmin_next_hop(snapshot, current: Vehicle, target_x, target_y, candidate_ids):
+def argmin_next_hop(snapshot, v_id, target_x, target_y, candidate_ids):
+    at = coordinates(snapshot)
+    vx, vy = at[v_id]
     best = None
     best_key = None
     for uid in candidate_ids:
-        p = snapshot.vehicles[uid].position
+        px, py = at[uid]
         key = (
-            angle_between(current.position.x, current.position.y, p.x, p.y, target_x, target_y),
-            dist(p.x, p.y, target_x, target_y),
+            angle_between(vx, vy, px, py, target_x, target_y),
+            dist(px, py, target_x, target_y),
             uid,
         )
         if best_key is None or key < best_key:
@@ -102,7 +113,7 @@ def greedy_by_scalar_min(snapshot, known, row, here, heading, dest, exclude, zon
     same arguments and candidate filters as ``routing._greedy_next_hop``.
     Unlike the acos oracle above it shares the package's exact key, so it
     pins the chooser's tie-breaking bit for bit."""
-    inside = _in_range(snapshot, row)
+    inside = np.isin(snapshot.ids, neighbors(int(snapshot.ids[row]), snapshot))
     inside[exclude] = False
     rows = np.flatnonzero(inside)
     x, y = known.x[rows], known.y[rows]
@@ -119,53 +130,34 @@ def greedy_by_scalar_min(snapshot, known, row, here, heading, dest, exclude, zon
     return best[1]
 
 
-def dir_oracle(snapshot, current: Vehicle, target_x, target_y, exclude):
+def dir_oracle(snapshot, v_id, target_x, target_y, exclude):
     return argmin_next_hop(
-        snapshot, current, target_x, target_y, dir_candidates(snapshot, current, exclude)
+        snapshot, v_id, target_x, target_y, dir_candidates(snapshot, v_id, exclude)
     )
 
 
-def dlar_candidates(snapshot, current: Vehicle, packet: Packet, now) -> set[int]:
-    radius = packet.dest_speed * (now - packet.t0)
-    rect = rect_from(
-        current.position.x,
-        current.position.y,
-        packet.dest_last_pos.x,
-        packet.dest_last_pos.y,
-        radius,
-    )
-    zone = {
-        uid
-        for uid in dir_candidates(snapshot, current, packet.visited)
-        if rect_contains(rect, snapshot.vehicles[uid].position.x, snapshot.vehicles[uid].position.y)
-    }
-    aligned = {
-        uid
-        for uid in zone
-        if heading_gap(snapshot.vehicles[uid].heading, current.heading) <= math.pi / 2
-    }
+def dlar_candidates(snapshot, v_id, ez, exclude) -> set[int]:
+    """D-LAR's candidates at vehicle ``v_id`` for the expected zone ``ez``."""
+    at = coordinates(snapshot)
+    vx, vy = at[v_id]
+    rect = rect_from(vx, vy, ez.center.x, ez.center.y, ez.radius)
+    zone = {uid for uid in dir_candidates(snapshot, v_id, exclude) if rect_contains(rect, *at[uid])}
+    headings = dict(zip(snapshot.ids.tolist(), snapshot.heading.tolist()))
+    aligned = {uid for uid in zone if heading_gap(headings[uid], headings[v_id]) <= math.pi / 2}
     return aligned if aligned else zone
 
 
-def dlar_oracle(snapshot, current: Vehicle, packet: Packet, now):
+def dlar_oracle(snapshot, v_id, ez, exclude):
     return argmin_next_hop(
-        snapshot,
-        current,
-        packet.dest_last_pos.x,
-        packet.dest_last_pos.y,
-        dlar_candidates(snapshot, current, packet, now),
+        snapshot, v_id, ez.center.x, ez.center.y, dlar_candidates(snapshot, v_id, ez, exclude)
     )
 
 
 def lar_bfs_oracle(snapshot, source_id, dest_id, dest_last_x, dest_last_y, radius):
     """(delivered, hops) by BFS on the zone-induced subgraph plus endpoints."""
-    src = snapshot.vehicles[source_id]
-    rect = rect_from(src.position.x, src.position.y, dest_last_x, dest_last_y, radius)
-    members = {
-        uid
-        for uid, u in snapshot.vehicles.items()
-        if rect_contains(rect, u.position.x, u.position.y)
-    }
+    at = coordinates(snapshot)
+    rect = rect_from(*at[source_id], dest_last_x, dest_last_y, radius)
+    members = {uid for uid, (ux, uy) in at.items() if rect_contains(rect, ux, uy)}
     members |= {source_id, dest_id}
     if source_id == dest_id:
         return True, 0
@@ -184,37 +176,36 @@ def lar_bfs_oracle(snapshot, source_id, dest_id, dest_last_x, dest_last_y, radiu
     return False, None
 
 
-def lar_flood_by_relay(source_id, packet: Packet, snapshot: NetworkSnapshot, now) -> RouteResult:
+def lar_flood_by_relay(source_id, dest_id, snapshot: NetworkSnapshot, ez, ttl) -> RouteResult:
     """LAR discovery flooded one relay at a time.
 
     Level by level, each relay in the order it was reached claims its
     unreached neighbors (``math.hypot`` distance at most the range) in
     ascending id order; claimed vehicles inside the source-anchored request
     zone relay on the next level.  The reported path follows the claiming
-    relays back from the destination.  The ttl bounds the number of levels: a
+    relays back from the destination; the zone covers the expected zone
+    ``ez``.  The ttl bounds the number of levels: a
     flood cut while relays still hold the request is a ``ttl_drop``, one that
     dies out a ``zone_unreachable``.
     """
-    if source_id == packet.dest_id:
+    if source_id == dest_id:
         return RouteResult(Outcome.DELIVERED, (source_id,))
     reach = snapshot.transmission_range
-    points = {vid: (v.position.x, v.position.y) for vid, v in sorted(snapshot.vehicles.items())}
-    sx, sy = points[source_id]
-    radius = packet.dest_speed * (now - packet.t0)
-    rect = rect_from(sx, sy, packet.dest_last_pos.x, packet.dest_last_pos.y, radius)
+    at = coordinates(snapshot)
+    rect = rect_from(*at[source_id], ez.center.x, ez.center.y, ez.radius)
     parent = {source_id: source_id}
     frontier = [source_id]
-    for _ in range(packet.ttl):
+    for _ in range(ttl):
         level = []
         for relay in frontier:
-            rx, ry = points[relay]
-            for vid, (vx, vy) in points.items():
+            rx, ry = at[relay]
+            for vid, (vx, vy) in at.items():
                 if vid not in parent and math.hypot(vx - rx, vy - ry) <= reach:
                     parent[vid] = relay
                     if rect_contains(rect, vx, vy):
                         level.append(vid)
-            if packet.dest_id in parent:
-                path = [packet.dest_id]
+            if dest_id in parent:
+                path = [dest_id]
                 while path[-1] != source_id:
                     path.append(parent[path[-1]])
                 return RouteResult(Outcome.DELIVERED, tuple(path[::-1]))
@@ -226,24 +217,22 @@ def lar_flood_by_relay(source_id, packet: Packet, snapshot: NetworkSnapshot, now
 def random_snapshot(rng: random.Random, n=None, size=1000.0, tx=None) -> NetworkSnapshot:
     n = n if n is not None else rng.randint(2, 60)
     tx = tx if tx is not None else rng.uniform(80.0, 300.0)
-    vehicles = [
-        Vehicle(
-            i,
-            Position(rng.uniform(0, size), rng.uniform(0, size)),
-            rng.uniform(0.0, 25.0),
-            rng.uniform(-math.pi, math.pi),
-        )
-        for i in range(n)
+    motion = [
+        (rng.uniform(0, size), rng.uniform(0, size), rng.uniform(0.0, 25.0),
+         rng.uniform(-math.pi, math.pi))
+        for _ in range(n)
     ]
-    return NetworkSnapshot(vehicles, tx)
+    x, y, speed, heading = np.array(motion, dtype=float).reshape(-1, 4).T.copy()
+    return NetworkSnapshot(tx, np.arange(n), x, y, speed, heading)
 
 
-def advance_by_stepping(vehicle: Vehicle, dt, width, height) -> Vehicle:
-    """Move ``vehicle`` ``dt`` seconds in a straight line, folding each
-    boundary crossing back into the field one reflection at a time; the
-    heading is mirrored on each axis crossed an odd number of times."""
-    x = vehicle.position.x + vehicle.speed * dt * math.cos(vehicle.heading)
-    y = vehicle.position.y + vehicle.speed * dt * math.sin(vehicle.heading)
+def advance_by_stepping(x, y, speed, heading, dt, width, height):
+    """(x, y, speed, heading) of a vehicle moved ``dt`` seconds in a straight
+    line, folding each boundary crossing back into the field one reflection
+    at a time; the heading is mirrored on each axis crossed an odd number of
+    times."""
+    x += speed * dt * math.cos(heading)
+    y += speed * dt * math.sin(heading)
     flip_x = flip_y = False
     while not (0.0 <= x <= width and 0.0 <= y <= height):
         if x < 0.0:
@@ -258,8 +247,8 @@ def advance_by_stepping(vehicle: Vehicle, dt, width, height) -> Vehicle:
         elif y > height:
             y = 2.0 * height - y
             flip_y = not flip_y
-    heading = math.pi - vehicle.heading if flip_x else vehicle.heading
-    return Vehicle(vehicle.id, Position(x, y), vehicle.speed, -heading if flip_y else heading)
+    heading = math.pi - heading if flip_x else heading
+    return x, y, speed, -heading if flip_y else heading
 
 
 def firing_steps_by_stepping(duration, flows, time_step):

@@ -23,15 +23,15 @@ from geo_route_sim.feasibility import (
 from geo_route_sim.geometry import Position
 from geo_route_sim.netsim import SimConfig, run_campaign
 from geo_route_sim.routing import (
-    NetworkSnapshot,
+    DEFAULT_TTL,
     Outcome,
-    Packet,
-    Vehicle,
     dir_next_hop,
     dlar_next_hop,
     lar_route_discovery,
     route,
 )
+from geo_route_sim.zones import expected_zone
+from oracles import make_snapshot, position
 
 
 @contextmanager
@@ -112,30 +112,21 @@ def test_criterion_4_greedy_selection_matches_exhaustive_argmin():
             snap = oracles.random_snapshot(
                 rng, n=rng.randint(2, 200), tx=rng.uniform(60, 320)
             )
-            ids = sorted(snap.vehicles)
-            current = snap.vehicles[rng.choice(ids)]
+            ids = snap.ids.tolist()
+            current = rng.choice(ids)
             target = Position(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            if target == current.position:
+            if target == position(snap, current):
                 continue
-            others = [i for i in ids if i != current.id]
-            visited = [current.id] + rng.sample(others, min(len(others), rng.randint(0, 3)))
+            others = [i for i in ids if i != current]
+            visited = [current] + rng.sample(others, min(len(others), rng.randint(0, 3)))
 
             got = dir_next_hop(current, target, snap, visited)
-            want = oracles.dir_oracle(snap, current, target.x, target.y, visited)
-            mismatches += (got.id if got else None) != want
+            mismatches += got != oracles.dir_oracle(snap, current, target.x, target.y, visited)
 
-            packet = Packet(
-                source_id=current.id,
-                dest_id=others[0] if others else current.id,
-                dest_last_pos=target,
-                dest_speed=rng.uniform(0, 25),
-                t0=0.0,
-                visited=list(visited),
-            )
-            now = rng.uniform(0, 8)
-            got = dlar_next_hop(current, packet, snap, now)
-            want = oracles.dlar_oracle(snap, current, packet, now)
-            mismatches += (got.id if got else None) != want
+            dest_speed = rng.uniform(0, 25)
+            ez = expected_zone(target, dest_speed, 0.0, rng.uniform(0, 8))
+            got = dlar_next_hop(current, ez, snap, visited)
+            mismatches += got != oracles.dlar_oracle(snap, current, ez, visited)
         assert mismatches == 0
 
 
@@ -145,13 +136,13 @@ def test_criterion_5_lar_discovery_equals_zone_bfs():
         mismatches = 0
         for _ in range(500):
             snap = oracles.random_snapshot(rng, n=100, tx=rng.uniform(80, 220))
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
             dest_speed = rng.uniform(0, 25)
             now = rng.uniform(0, 10)
-            last = snap.vehicles[dst].position
-            packet = Packet(src, dst, last, dest_speed, 0.0)
-            result = lar_route_discovery(src, packet, snap, now)
+            last = position(snap, dst)
+            ez = expected_zone(last, dest_speed, 0.0, now)
+            result = lar_route_discovery(src, dst, snap, ez, DEFAULT_TTL)
             delivered, hops = oracles.lar_bfs_oracle(
                 snap, src, dst, last.x, last.y, dest_speed * now
             )
@@ -163,16 +154,9 @@ def test_criterion_5_lar_discovery_equals_zone_bfs():
 
         # An out-of-zone relay discards the request even when it is the only
         # physical path, so discovery reports zone_unreachable.
-        snap = NetworkSnapshot(
-            [
-                Vehicle(0, Position(0, 0)),
-                Vehicle(1, Position(350, 300)),
-                Vehicle(2, Position(400, 100)),
-            ],
-            450.0,
-        )
-        fixture = Packet(0, 1, Position(300, 300), 5.0, 0.0)
-        result = lar_route_discovery(0, fixture, snap, 10.0)
+        snap = make_snapshot([(0, 0), (350, 300), (400, 100)], 450.0)
+        fixture = expected_zone(Position(300, 300), 5.0, 0.0, 10.0)
+        result = lar_route_discovery(0, 1, snap, fixture, DEFAULT_TTL)
         assert result.outcome is Outcome.ZONE_UNREACHABLE
         assert route("dir", 0, 1, snap).outcome is Outcome.DELIVERED
 
@@ -182,28 +166,16 @@ def test_criterion_6_canonical_topology_fixtures():
         # Fan of five neighbors at 5/20/40/70/110 degrees off the line to the
         # destination: the 5-degree node is the compass choice.
         offsets = [5.0, -20.0, 40.0, -70.0, 110.0]
-        fan = [Vehicle(0, Position(0, 0))] + [
-            Vehicle(
-                i + 1,
-                Position(80 * math.cos(math.radians(a)), 80 * math.sin(math.radians(a))),
-            )
-            for i, a in enumerate(offsets)
+        fan = [(0, 0)] + [
+            (80 * math.cos(math.radians(a)), 80 * math.sin(math.radians(a))) for a in offsets
         ]
-        snap = NetworkSnapshot(fan, 100.0)
-        chosen = dir_next_hop(snap.vehicles[0], Position(1000, 0), snap)
-        assert chosen is not None and chosen.id == 1
+        snap = make_snapshot(fan, 100.0)
+        assert dir_next_hop(0, Position(1000, 0), snap) == 1
 
         # Relay chain: each forwarder picks the minimum-angle zone member and
         # the last relay hands the packet straight to the destination.
-        chain = NetworkSnapshot(
-            [
-                Vehicle(0, Position(0, 0)),
-                Vehicle(1, Position(90, 12)),
-                Vehicle(2, Position(180, -10)),
-                Vehicle(3, Position(270, 8)),
-                Vehicle(4, Position(360, 0), speed=2.0),
-            ],
-            100.0,
+        chain = make_snapshot(
+            [(0, 0), (90, 12), (180, -10), (270, 8), (360, 0)], 100.0, speeds={4: 2.0}
         )
         result = route("dlar", 0, 4, chain, now=10.0, known_time=0.0)
         assert result.outcome is Outcome.DELIVERED
@@ -286,17 +258,10 @@ def test_criterion_9_flooding_dominates_in_dense_regime():
         rng = random.Random(99_000)
         for _ in range(300):
             snap = oracles.random_snapshot(rng)
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
-            packet = Packet(
-                src,
-                dst,
-                snap.vehicles[dst].position,
-                rng.uniform(0, 20),
-                0.0,
-            )
-            current = snap.vehicles[src]
-            now = rng.uniform(0, 5)
-            assert oracles.dlar_candidates(snap, current, packet, now) <= oracles.dir_candidates(
-                snap, current, packet.visited
+            dest_speed = rng.uniform(0, 20)
+            ez = expected_zone(position(snap, dst), dest_speed, 0.0, rng.uniform(0, 5))
+            assert oracles.dlar_candidates(snap, src, ez, [src]) <= oracles.dir_candidates(
+                snap, src, [src]
             )

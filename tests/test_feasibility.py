@@ -13,7 +13,6 @@ from geo_route_sim.feasibility import (
     FeasibilityParams,
     RegionKind,
     analyze_csv,
-    feasibility_table,
     mean_node_count,
     monte_carlo_at_least_k,
     poisson_pmf,
@@ -240,23 +239,6 @@ class TestRegionCountBlocks:
         assert peak < 8_000_000
 
 
-class TestFeasibilityTable:
-    def test_row_ordering_and_k_column(self):
-        rows = feasibility_table([0.0004, 0.0002], 250.0, 5, RegionKind.QUARTER_CIRCLE)
-        assert [r[0] for r in rows] == [0.0002] * 5 + [0.0004] * 5
-        assert [r[1] for r in rows] == [1, 2, 3, 4, 5] * 2
-
-    def test_probability_non_increasing_in_k(self):
-        rows = feasibility_table([0.0002, 0.0004], 250.0, 10, RegionKind.QUARTER_CIRCLE)
-        for density in (0.0002, 0.0004):
-            probs = [p for d, _, p in rows if d == density]
-            assert all(a >= b for a, b in zip(probs, probs[1:]))
-
-    def test_k_max_validated(self):
-        with pytest.raises(ValueError):
-            feasibility_table([0.0002], 250.0, 0, RegionKind.FULL_CIRCLE)
-
-
 class TestAnalyzeCsv:
     def test_default_grid_shape(self):
         lines = analyze_csv(AnalyzeConfig()).splitlines()
@@ -278,6 +260,30 @@ class TestAnalyzeCsv:
     def test_deterministic(self):
         config = AnalyzeConfig(densities=(0.0002, 0.0004), k_max=4, mc_trials=500, seed=9)
         assert analyze_csv(config) == analyze_csv(config)
+
+    def test_row_ordering_and_k_column(self):
+        rows = [line.split(",") for line in analyze_csv(
+            AnalyzeConfig(densities=(0.0004, 0.0002), k_max=5)
+        ).splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0.0002"] * 10 + ["0.0004"] * 10
+        assert [r[2] for r in rows] == (["full_circle"] * 5 + ["quarter_circle"] * 5) * 2
+        assert [r[1] for r in rows] == ["1", "2", "3", "4", "5"] * 4
+
+    def test_probability_non_increasing_in_k(self):
+        curves = {}
+        for line in analyze_csv(AnalyzeConfig(densities=(0.0002, 0.0004))).splitlines()[1:]:
+            density, _, region, prob = line.split(",")
+            curves.setdefault((density, region), []).append(float(prob))
+        assert len(curves) == 4
+        for probs in curves.values():
+            assert len(probs) == 10
+            assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+    def test_k_max_validated(self):
+        with pytest.raises(ValueError, match="k_max"):
+            AnalyzeConfig(k_max=0).validate()
+        with pytest.raises(ValueError, match="k_max"):
+            analyze_csv(AnalyzeConfig(densities=(0.0002,), k_max=0))
 
 
 class TestAnalyzeMonteCarlo:

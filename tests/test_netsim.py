@@ -19,7 +19,8 @@ from geo_route_sim.netsim import (
     snapshot_digest,
     step_mobility,
 )
-from geo_route_sim.routing import NetworkSnapshot, Vehicle
+from geo_route_sim.routing import NetworkSnapshot
+from oracles import make_snapshot, position
 
 
 def small_config(**overrides) -> SimConfig:
@@ -41,7 +42,7 @@ class TestGenerateNodes:
     def test_single_node(self):
         snap = generate_nodes(small_config(node_count=1))
         assert len(snap) == 1
-        assert sorted(snap.vehicles) == [0]
+        assert snap.ids.tolist() == [0]
 
     def test_same_seed_same_snapshot(self):
         config = small_config(seed=77)
@@ -65,11 +66,11 @@ class TestGenerateNodes:
     def test_fields_within_configured_ranges(self):
         config = small_config(node_count=200, speed_min=3.0, speed_max=9.0)
         snap = generate_nodes(config)
-        for v in snap.vehicles.values():
-            assert 0.0 <= v.position.x <= config.field_width
-            assert 0.0 <= v.position.y <= config.field_height
-            assert config.speed_min <= v.speed <= config.speed_max
-            assert -math.pi < v.heading <= math.pi
+        for x, y, speed, heading in zip(snap.x, snap.y, snap.speed, snap.heading):
+            assert 0.0 <= x <= config.field_width
+            assert 0.0 <= y <= config.field_height
+            assert config.speed_min <= speed <= config.speed_max
+            assert -math.pi < heading <= math.pi
 
     def test_poisson_count_law_of_large_numbers(self):
         # lambda * area = 100; the empirical mean count over 10^4 seeds must
@@ -81,39 +82,38 @@ class TestGenerateNodes:
 
 class TestStepMobility:
     def test_zero_speed_keeps_positions(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(10, 20), 0.0, 1.0)], 100)
+        snap = make_snapshot([(10, 20)], 100, headings={0: 1.0})
         moved = step_mobility(snap, 5.0, 1000, 1000)
-        assert moved.vehicles[0].position == Position(10, 20)
+        assert position(moved, 0) == Position(10, 20)
 
     def test_reflection_at_right_boundary(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(999, 500), 10.0, 0.0)], 100)
+        snap = make_snapshot([(999, 500)], 100, speeds={0: 10.0})
         moved = step_mobility(snap, 1.0, 1000, 1000)
-        v = moved.vehicles[0]
-        assert v.position.x == pytest.approx(991.0)
-        assert v.position.y == pytest.approx(500.0)
-        assert v.heading == pytest.approx(math.pi)
+        assert moved.x[0] == pytest.approx(991.0)
+        assert moved.y[0] == pytest.approx(500.0)
+        assert moved.heading[0] == pytest.approx(math.pi)
 
     def test_reflection_at_bottom_boundary(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(500, 3), 10.0, -math.pi / 2)], 100)
+        snap = make_snapshot([(500, 3)], 100, headings={0: -math.pi / 2}, speeds={0: 10.0})
         moved = step_mobility(snap, 1.0, 1000, 1000)
-        v = moved.vehicles[0]
-        assert v.position.y == pytest.approx(7.0)
-        assert v.heading == pytest.approx(math.pi / 2)
+        assert moved.y[0] == pytest.approx(7.0)
+        assert moved.heading[0] == pytest.approx(math.pi / 2)
 
     def test_counts_speeds_preserved_and_positions_in_field(self):
         config = small_config(node_count=150, speed_min=5.0, speed_max=40.0)
         snap = generate_nodes(config)
-        speeds = {v.id: v.speed for v in snap.vehicles.values()}
+        ids, speeds = snap.ids.tolist(), snap.speed.tolist()
         for _ in range(30):
             snap = step_mobility(snap, 7.0, config.field_width, config.field_height)
             assert len(snap) == 150
-            for v in snap.vehicles.values():
-                assert v.speed == speeds[v.id]
-                assert 0.0 <= v.position.x <= config.field_width
-                assert 0.0 <= v.position.y <= config.field_height
+            assert snap.ids.tolist() == ids
+            assert snap.speed.tolist() == speeds
+            for x, y in zip(snap.x, snap.y):
+                assert 0.0 <= x <= config.field_width
+                assert 0.0 <= y <= config.field_height
 
     def test_rejects_non_positive_dt(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(0, 0))], 100)
+        snap = make_snapshot([(0, 0)], 100)
         with pytest.raises(ValueError):
             step_mobility(snap, 0.0, 100, 100)
 
@@ -122,25 +122,33 @@ def heading_gap(a, b):
     return abs(math.remainder(a - b, 2 * math.pi))
 
 
-def assert_same_motion(got: NetworkSnapshot, want: list[Vehicle]):
-    for w in want:
-        g = got.vehicles[w.id]
-        assert g.position.x == pytest.approx(w.position.x, abs=1e-9)
-        assert g.position.y == pytest.approx(w.position.y, abs=1e-9)
-        assert heading_gap(g.heading, w.heading) <= 1e-12
-        assert g.speed == w.speed
+def assert_same_motion(got: NetworkSnapshot, want):
+    """``got``'s rows against (x, y, speed, heading) tuples in row order."""
+    columns = (got.x.tolist(), got.y.tolist(), got.speed.tolist(), got.heading.tolist())
+    assert len(got) == len(want)
+    for (gx, gy, gspeed, gheading), (x, y, speed, heading) in zip(zip(*columns), want):
+        assert gx == pytest.approx(x, abs=1e-9)
+        assert gy == pytest.approx(y, abs=1e-9)
+        assert heading_gap(gheading, heading) <= 1e-12
+        assert gspeed == speed
 
 
 def random_movers(rng, n, width, height, speed_max):
+    """(x, y, speed, heading) of ``n`` vehicles."""
     return [
-        Vehicle(
-            i,
-            Position(rng.uniform(0, width), rng.uniform(0, height)),
+        (
+            rng.uniform(0, width),
+            rng.uniform(0, height),
             rng.uniform(0.0, speed_max),
             rng.uniform(-math.pi, math.pi),
         )
-        for i in range(n)
+        for _ in range(n)
     ]
+
+
+def movers_snapshot(movers) -> NetworkSnapshot:
+    x, y, speed, heading = zip(*movers)
+    return NetworkSnapshot(100, list(range(len(movers))), x, y, speed, heading)
 
 
 class TestClosedFormMotion:
@@ -160,25 +168,27 @@ class TestClosedFormMotion:
         vehicles = random_movers(rng, 25, width, height, speed_max)
         stepped = list(vehicles)
         for _ in range(steps):
-            stepped = [oracles.advance_by_stepping(v, dt, width, height) for v in stepped]
-        moved = step_mobility(NetworkSnapshot(vehicles, 100), dt * steps, width, height)
+            stepped = [oracles.advance_by_stepping(*v, dt, width, height) for v in stepped]
+        moved = step_mobility(movers_snapshot(vehicles), dt * steps, width, height)
         assert_same_motion(moved, stepped)
 
     @pytest.mark.parametrize("dt", [3.7, 250.0, 10_000.0])
     def test_dt_much_larger_than_the_field(self, dt):
         width, height = 80.0, 55.0
         vehicles = random_movers(random.Random(int(dt)), 25, width, height, 30.0)
-        moved = step_mobility(NetworkSnapshot(vehicles, 100), dt, width, height)
+        moved = step_mobility(movers_snapshot(vehicles), dt, width, height)
         assert_same_motion(
-            moved, [oracles.advance_by_stepping(v, dt, width, height) for v in vehicles]
+            moved, [oracles.advance_by_stepping(*v, dt, width, height) for v in vehicles]
         )
 
     def test_corner_hit_mirrors_both_axes(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(90, 90), math.sqrt(2) * 20, math.pi / 4)], 100)
-        v = step_mobility(snap, 1.0, 100, 100).vehicles[0]
-        assert v.position.x == pytest.approx(90.0)
-        assert v.position.y == pytest.approx(90.0)
-        assert heading_gap(v.heading, -3 * math.pi / 4) <= 1e-12
+        snap = make_snapshot(
+            [(90, 90)], 100, headings={0: math.pi / 4}, speeds={0: math.sqrt(2) * 20}
+        )
+        moved = step_mobility(snap, 1.0, 100, 100)
+        assert moved.x[0] == pytest.approx(90.0)
+        assert moved.y[0] == pytest.approx(90.0)
+        assert heading_gap(moved.heading[0], -3 * math.pi / 4) <= 1e-12
 
 
 class TestFiringSteps:
@@ -213,31 +223,31 @@ class TestFiringSteps:
 
 class TestBeaconView:
     def test_exact_tick_equals_ground_truth(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 10.0, 0.0)], 100)
+        snap = make_snapshot([(100, 50)], 100, speeds={0: 10.0})
         view = beacon_view(snap, 3.0, 1.0, 1000, 1000)
-        assert view.position(0) == Position(100, 50)
+        assert position(view, 0) == Position(100, 50)
 
     def test_stationary_nodes_never_lag(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 0.0, 1.2)], 100)
-        assert beacon_view(snap, 3.43, 1.0, 1000, 1000).position(0) == Position(100, 50)
+        snap = make_snapshot([(100, 50)], 100, headings={0: 1.2})
+        assert position(beacon_view(snap, 3.43, 1.0, 1000, 1000), 0) == Position(100, 50)
 
     def test_mid_interval_lag(self):
         # Vehicle moving +x at 10 m/s, observed 0.7 s after the last beacon:
         # the view trails by 7 m.
-        snap = NetworkSnapshot([Vehicle(0, Position(100, 50), 10.0, 0.0)], 100)
+        snap = make_snapshot([(100, 50)], 100, speeds={0: 10.0})
         view = beacon_view(snap, 1.7, 1.0, 1000, 1000)
-        assert view.position(0).x == pytest.approx(93.0, abs=1e-9)
-        assert view.position(0).y == pytest.approx(50.0)
+        assert view.x[0] == pytest.approx(93.0, abs=1e-9)
+        assert view.y[0] == pytest.approx(50.0)
 
     def test_tick_before_a_reflection_is_inside_the_field(self):
         # Heading +x at 10 m/s from x=993 at the 1.0 s tick, the vehicle hits
         # x=1000 at 1.7 s and is back at x=998, heading -x, at 1.9 s.
-        snap = NetworkSnapshot([Vehicle(0, Position(993, 50), 10.0, 0.0)], 100)
+        snap = make_snapshot([(993, 50)], 100, speeds={0: 10.0})
         moved = step_mobility(snap, 0.9, 1000, 1000)
-        assert moved.vehicles[0].position.x == pytest.approx(998.0)
+        assert moved.x[0] == pytest.approx(998.0)
         view = beacon_view(moved, 1.9, 1.0, 1000, 1000)
-        assert view.position(0).x == pytest.approx(993.0, abs=1e-9)
-        assert view.position(0).y == pytest.approx(50.0)
+        assert view.x[0] == pytest.approx(993.0, abs=1e-9)
+        assert view.y[0] == pytest.approx(50.0)
 
     def test_positions_stay_inside_the_field_after_reflections(self):
         config = small_config(node_count=300, speed_min=20.0, speed_max=40.0)
@@ -245,12 +255,12 @@ class TestBeaconView:
         for step in range(1, 40):
             snap = step_mobility(snap, 0.5, config.field_width, config.field_height)
             view = beacon_view(snap, step * 0.5, 1.0, config.field_width, config.field_height)
-            for pos in (v.position for v in view.vehicles.values()):
-                assert 0.0 <= pos.x <= config.field_width
-                assert 0.0 <= pos.y <= config.field_height
+            for x, y in zip(view.x, view.y):
+                assert 0.0 <= x <= config.field_width
+                assert 0.0 <= y <= config.field_height
 
     def test_rejects_bad_interval(self):
-        snap = NetworkSnapshot([Vehicle(0, Position(0, 0))], 100)
+        snap = make_snapshot([(0, 0)], 100)
         with pytest.raises(ValueError):
             beacon_view(snap, 1.0, 0.0, 1000, 1000)
 
@@ -300,19 +310,18 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("protocol", ["dir", "lar", "dlar"])
     def test_builds_vehicle_objects_per_hop_not_per_vehicle(self, monkeypatch, protocol):
-        # Routing works on snapshot rows, so a campaign builds no Vehicle at
-        # all; the public API still builds them, which shows the counter works.
+        # Routing works on snapshot rows and builds a Position only for the
+        # few points of a hop (forwarder, destination, zone corners, near-tied
+        # candidates), never one per vehicle of a snapshot.
         built = []
-        post_init = Vehicle.__post_init__
-        monkeypatch.setattr(Vehicle, "__post_init__", lambda v: built.append(v.id) or post_init(v))
+        post_init = Position.__post_init__
+        monkeypatch.setattr(Position, "__post_init__", lambda p: built.append(p) or post_init(p))
         config = small_config(
             field_width=2000.0, field_height=2000.0, node_count=2000, tx_range=250.0,
             duration=10.0, flows=20, protocol=protocol,
         )
         assert run_campaign(config).sent == 20
-        assert built == []
-        generate_nodes(config).vehicle(7)
-        assert built == [7]
+        assert 0 < len(built) < config.node_count
 
     def test_single_vehicle_sends_nothing(self):
         metrics = run_campaign(small_config(node_count=1, flows=5))

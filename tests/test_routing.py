@@ -9,10 +9,9 @@ from geo_route_sim import routing
 from geo_route_sim.geometry import Position, distance, wrap_angle
 from geo_route_sim.netsim import SimConfig, generate_nodes
 from geo_route_sim.routing import (
+    DEFAULT_TTL,
     NetworkSnapshot,
     Outcome,
-    Packet,
-    Vehicle,
     dir_next_hop,
     dlar_next_hop,
     lar_route_discovery,
@@ -20,16 +19,7 @@ from geo_route_sim.routing import (
     route,
 )
 from geo_route_sim.zones import expected_zone, request_zone
-
-
-def make_snapshot(points, tx, headings=None, speeds=None):
-    headings = headings or {}
-    speeds = speeds or {}
-    vehicles = [
-        Vehicle(i, Position(*p), speeds.get(i, 0.0), headings.get(i, 0.0))
-        for i, p in enumerate(points)
-    ]
-    return NetworkSnapshot(vehicles, tx)
+from oracles import make_snapshot, position
 
 
 class TestNeighbors:
@@ -50,7 +40,7 @@ class TestNeighbors:
     def test_matches_pairwise_filter_on_random_field(self):
         rng = random.Random(50)
         snap = oracles.random_snapshot(rng, n=50, tx=100.0)
-        for vid in snap.vehicles:
+        for vid in snap.ids.tolist():
             got = set(neighbors(vid, snap))
             assert got == oracles.neighbor_ids(snap, vid)
 
@@ -77,8 +67,8 @@ class TestNeighbors:
             for t in (rng.uniform(-math.pi, math.pi) for _ in range(3000))
         ]
         snap = make_snapshot([(cx, cy)] + ring, reach)
-        center = snap.vehicles[0].position
-        want = [v.id for v in snap.vehicles.values() if distance(center, v.position) <= reach]
+        at = [Position(x, y) for x, y in zip(snap.x.tolist(), snap.y.tolist())]
+        want = [i for i, p in enumerate(at) if distance(at[0], p) <= reach]
         assert 0 < len(want) - 1 < len(ring)  # the ring straddles the range
         assert neighbors(0, snap) == want[1:]
 
@@ -101,7 +91,7 @@ class TestNeighbors:
         ring = finite([(reach * math.cos(t), reach * math.sin(t))
                        for t in (rng.uniform(-math.pi, math.pi) for _ in range(1000))])
         snap = make_snapshot(fixed + ring, reach)
-        positions = [v.position for v in snap.vehicles.values()]
+        positions = [Position(x, y) for x, y in zip(snap.x.tolist(), snap.y.tolist())]
         rows, cols = np.arange(len(fixed)), np.arange(len(positions))
         want = np.array([[distance(positions[i], b) <= reach for b in positions] for i in rows])
         assert np.array_equal(routing._within(snap, rows, cols), want)
@@ -126,34 +116,30 @@ class TestDirNextHop:
             for a in offsets
         ]
         snap = make_snapshot(points, 100.0)
-        chosen = dir_next_hop(snap.vehicles[0], dest, snap)
-        assert chosen is not None and chosen.id == 1
+        assert dir_next_hop(0, dest, snap) == 1
 
     def test_isolated_node(self):
         snap = make_snapshot([(0, 0), (500, 0)], 100)
-        assert dir_next_hop(snap.vehicles[0], Position(1000, 0), snap) is None
+        assert dir_next_hop(0, Position(1000, 0), snap) is None
 
     def test_tie_breaks_on_distance_to_destination(self):
         # Both candidates sit on the source-destination line (deviation 0);
         # distances to the destination are 80 and 60.
         snap = make_snapshot([(0, 0), (20, 0), (40, 0)], 100)
-        chosen = dir_next_hop(snap.vehicles[0], Position(100, 0), snap)
-        assert chosen is not None and chosen.id == 2
+        assert dir_next_hop(0, Position(100, 0), snap) == 2
 
     def test_tie_breaks_on_id_last(self):
         snap = make_snapshot([(0, 0), (40, 0), (40, 0)], 100)
-        chosen = dir_next_hop(snap.vehicles[0], Position(100, 0), snap)
-        assert chosen is not None and chosen.id == 1
+        assert dir_next_hop(0, Position(100, 0), snap) == 1
 
     def test_excludes_visited(self):
         snap = make_snapshot([(0, 0), (20, 0), (40, 0)], 100)
-        chosen = dir_next_hop(snap.vehicles[0], Position(100, 0), snap, exclude={2})
-        assert chosen is not None and chosen.id == 1
+        assert dir_next_hop(0, Position(100, 0), snap, exclude={2}) == 1
 
     def test_coincident_destination_raises(self):
         snap = make_snapshot([(0, 0), (20, 0)], 100)
         with pytest.raises(ValueError):
-            dir_next_hop(snap.vehicles[0], Position(0, 0), snap)
+            dir_next_hop(0, Position(0, 0), snap)
 
 
 class TestGreedyNextHop:
@@ -190,8 +176,9 @@ class TestGreedyNextHop:
                 for p in points
             ]
             snap, known = (
-                NetworkSnapshot(
-                    [Vehicle(i, p, 1.0, h) for i, (p, h) in enumerate(zip(at, headings))], tx
+                make_snapshot(
+                    [(p.x, p.y) for p in at], tx,
+                    headings=dict(enumerate(headings)), speeds=dict.fromkeys(range(n), 1.0),
                 )
                 for at in (points, lagged)
             )
@@ -205,24 +192,12 @@ class TestGreedyNextHop:
                 assert routing._greedy_next_hop(*args) == oracles.greedy_by_scalar_min(*args)
 
 
-def dlar_packet(source_id, dest_id, dest_last_pos, dest_speed=0.0, t0=0.0, visited=None, ttl=64):
-    return Packet(
-        source_id=source_id,
-        dest_id=dest_id,
-        dest_last_pos=dest_last_pos,
-        dest_speed=dest_speed,
-        t0=t0,
-        visited=list(visited) if visited else [],
-        ttl=ttl,
-    )
-
-
 class TestDlarNextHop:
     def test_void_when_all_neighbors_outside_zone(self):
         # Zone is the degenerate strip y in [0, 0]; the only neighbor is off it.
         snap = make_snapshot([(0, 0), (50, 40), (400, 0)], 100)
-        packet = dlar_packet(0, 2, Position(400, 0))
-        assert dlar_next_hop(snap.vehicles[0], packet, snap, now=0.0) is None
+        ez = expected_zone(Position(400, 0), 0.0, 0.0, 0.0)
+        assert dlar_next_hop(0, ez, snap) is None
 
     def test_prefers_aligned_heading_over_smaller_angle(self):
         # Candidate 1 has the minimum deviation but drives the opposite way;
@@ -232,9 +207,8 @@ class TestDlarNextHop:
             120,
             headings={0: 0.0, 1: math.pi, 2: 0.3},
         )
-        packet = dlar_packet(0, 3, Position(200, 0), dest_speed=5.0, t0=0.0)
-        chosen = dlar_next_hop(snap.vehicles[0], packet, snap, now=4.0)
-        assert chosen is not None and chosen.id == 2
+        ez = expected_zone(Position(200, 0), 5.0, 0.0, 4.0)
+        assert dlar_next_hop(0, ez, snap) == 2
 
     def test_heading_filter_relaxed_when_it_empties_the_pool(self):
         snap = make_snapshot(
@@ -242,41 +216,32 @@ class TestDlarNextHop:
             120,
             headings={0: 0.0, 1: math.pi, 2: 2.9},
         )
-        packet = dlar_packet(0, 3, Position(200, 0), dest_speed=5.0, t0=0.0)
-        chosen = dlar_next_hop(snap.vehicles[0], packet, snap, now=4.0)
-        assert chosen is not None and chosen.id == 1
+        ez = expected_zone(Position(200, 0), 5.0, 0.0, 4.0)
+        assert dlar_next_hop(0, ez, snap) == 1
 
     def test_now_before_t0_raises(self):
-        snap = make_snapshot([(0, 0), (50, 0)], 100)
-        packet = dlar_packet(0, 1, Position(50, 0), t0=5.0)
+        # The expected zone carries the time check that D-LAR's choice relies on.
         with pytest.raises(ValueError):
-            dlar_next_hop(snap.vehicles[0], packet, snap, now=1.0)
+            expected_zone(Position(50, 0), 0.0, 5.0, 1.0)
 
     def test_candidates_subset_of_dir_candidates(self):
         rng = random.Random(99)
         for _ in range(200):
             snap = oracles.random_snapshot(rng)
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
-            packet = dlar_packet(
-                src,
-                dst,
-                snap.vehicles[dst].position,
-                dest_speed=rng.uniform(0, 20),
-                t0=0.0,
-            )
-            now = rng.uniform(0, 5)
-            current = snap.vehicles[src]
-            dlar_set = oracles.dlar_candidates(snap, current, packet, now)
-            dir_set = oracles.dir_candidates(snap, current, packet.visited)
+            dest_speed = rng.uniform(0, 20)
+            ez = expected_zone(position(snap, dst), dest_speed, 0.0, rng.uniform(0, 5))
+            dlar_set = oracles.dlar_candidates(snap, src, ez, [src])
+            dir_set = oracles.dir_candidates(snap, src, [src])
             assert dlar_set <= dir_set
 
 
 class TestLarRouteDiscovery:
     def test_direct_neighbor(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)
-        packet = dlar_packet(0, 1, Position(50, 0))
-        result = lar_route_discovery(0, packet, snap, now=0.0)
+        ez = expected_zone(Position(50, 0), 0.0, 0.0, 0.0)
+        result = lar_route_discovery(0, 1, snap, ez, DEFAULT_TTL)
         assert result.outcome is Outcome.DELIVERED
         assert result.path == (0, 1)
         assert result.hop_count == 1
@@ -285,8 +250,8 @@ class TestLarRouteDiscovery:
         # The only physical relay sits outside the request zone, so discovery
         # fails even though the relay could have carried the packet.
         snap = make_snapshot([(0, 0), (350, 300), (400, 100)], 450)
-        packet = dlar_packet(0, 1, Position(300, 300), dest_speed=5.0, t0=0.0)
-        result = lar_route_discovery(0, packet, snap, now=10.0)
+        ez = expected_zone(Position(300, 300), 5.0, 0.0, 10.0)
+        result = lar_route_discovery(0, 1, snap, ez, DEFAULT_TTL)
         assert result.outcome is Outcome.ZONE_UNREACHABLE
         # Sanity: without the zone gate the relay works (greedy DIR delivers).
         assert route("dir", 0, 1, snap).outcome is Outcome.DELIVERED
@@ -295,13 +260,13 @@ class TestLarRouteDiscovery:
         rng = random.Random(7321)
         for _ in range(100):
             snap = oracles.random_snapshot(rng, n=100, tx=rng.uniform(80, 200))
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
             dest_speed = rng.uniform(0, 20)
             t0, now = 0.0, rng.uniform(0, 10)
-            last = snap.vehicles[dst].position
-            packet = dlar_packet(src, dst, last, dest_speed=dest_speed, t0=t0)
-            result = lar_route_discovery(src, packet, snap, now)
+            last = position(snap, dst)
+            ez = expected_zone(last, dest_speed, t0, now)
+            result = lar_route_discovery(src, dst, snap, ez, DEFAULT_TTL)
             delivered, hops = oracles.lar_bfs_oracle(
                 snap, src, dst, last.x, last.y, dest_speed * (now - t0)
             )
@@ -320,13 +285,13 @@ class TestLarRouteDiscovery:
         outcomes = set()
         for _ in range(40):
             snap = oracles.random_snapshot(rng, n=rng.randint(20, 150), tx=rng.uniform(80, 250))
-            src, dst = rng.sample(sorted(snap.vehicles), 2)
-            last = snap.vehicles[dst].position
+            src, dst = rng.sample(snap.ids.tolist(), 2)
+            last = position(snap, dst)
             dest_speed, now = rng.uniform(0, 20), rng.uniform(0, 10)
+            ez = expected_zone(last, dest_speed, 0.0, now)
             for ttl in (1, 2, 3, 4, 5, 6, 64):
-                packet = dlar_packet(src, dst, last, dest_speed=dest_speed, ttl=ttl)
-                result = lar_route_discovery(src, packet, snap, now)
-                assert result == oracles.lar_flood_by_relay(src, packet, snap, now)
+                result = lar_route_discovery(src, dst, snap, ez, ttl)
+                assert result == oracles.lar_flood_by_relay(src, dst, snap, ez, ttl)
                 outcomes.add(result.outcome)
         assert outcomes == {Outcome.DELIVERED, Outcome.TTL_DROP, Outcome.ZONE_UNREACHABLE}
 
@@ -352,10 +317,18 @@ class TestLarRouteDiscovery:
 
     def test_unknown_ids(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)
+        ez = expected_zone(Position(0, 0), 0.0, 0.0, 0.0)
         with pytest.raises(KeyError):
-            lar_route_discovery(5, dlar_packet(5, 1, Position(0, 0)), snap, 0.0)
+            lar_route_discovery(5, 1, snap, ez, DEFAULT_TTL)
         with pytest.raises(KeyError):
-            lar_route_discovery(0, dlar_packet(0, 9, Position(0, 0)), snap, 0.0)
+            lar_route_discovery(0, 9, snap, ez, DEFAULT_TTL)
+
+    @pytest.mark.parametrize("ttl", [0, -1])
+    def test_rejects_non_positive_ttl(self, ttl):
+        snap = make_snapshot([(0, 0), (50, 0)], 100)
+        ez = expected_zone(Position(50, 0), 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="ttl"):
+            lar_route_discovery(0, 1, snap, ez, ttl)
 
 
 class TestRoute:
@@ -428,7 +401,7 @@ class TestRouteProperties:
         checked = 0
         for _ in range(500):
             snap = oracles.random_snapshot(rng, n=25, size=500.0, tx=rng.uniform(60, 150))
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             for _ in range(20):
                 src, dst = rng.sample(ids, 2)
                 protocol = rng.choice(["dir", "dlar", "lar"])
@@ -441,7 +414,7 @@ class TestRouteProperties:
         rng = random.Random(2718)
         for _ in range(300):
             snap = oracles.random_snapshot(rng)
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
             protocol = rng.choice(["dir", "dlar", "lar"])
             result = route(protocol, src, dst, snap)
@@ -454,21 +427,18 @@ class TestRouteProperties:
         rng = random.Random(404)
         for _ in range(300):
             snap = oracles.random_snapshot(rng, n=rng.randint(2, 80))
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
-            current = snap.vehicles[src]
-            target = snap.vehicles[dst].position
-            if target == current.position:
+            target = position(snap, dst)
+            if target == position(snap, src):
                 continue
-            got = dir_next_hop(current, target, snap, [src])
-            expected = oracles.dir_oracle(snap, current, target.x, target.y, [src])
-            assert (got.id if got else None) == expected
+            got = dir_next_hop(src, target, snap, [src])
+            assert got == oracles.dir_oracle(snap, src, target.x, target.y, [src])
 
-            packet = dlar_packet(src, dst, target, dest_speed=rng.uniform(0, 20))
-            now = rng.uniform(0, 5)
-            got = dlar_next_hop(current, packet, snap, now)
-            expected = oracles.dlar_oracle(snap, current, packet, now)
-            assert (got.id if got else None) == expected
+            dest_speed = rng.uniform(0, 20)
+            ez = expected_zone(target, dest_speed, 0.0, rng.uniform(0, 5))
+            got = dlar_next_hop(src, ez, snap, [src])
+            assert got == oracles.dlar_oracle(snap, src, ez, [src])
 
     def test_flooding_dominates_greedy_zone_chain(self):
         # Any D-LAR relay chain lives inside the source-anchored zone, so a
@@ -477,7 +447,7 @@ class TestRouteProperties:
         dominated = 0
         for _ in range(200):
             snap = oracles.random_snapshot(rng, n=60, tx=rng.uniform(100, 220))
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
             now = rng.uniform(0, 5)
             dlar_result = route("dlar", src, dst, snap, now=now)
@@ -492,7 +462,7 @@ class TestRouteProperties:
         rng = random.Random(808)
         for _ in range(50):
             snap = oracles.random_snapshot(rng)
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
             protocol = rng.choice(["dir", "dlar", "lar"])
             now = rng.uniform(0, 5)
@@ -507,13 +477,9 @@ class TestRouteProperties:
             snap = oracles.random_snapshot(rng, n=40)
             dx, dy = rng.uniform(-5000, 5000), rng.uniform(-5000, 5000)
             moved = NetworkSnapshot(
-                [
-                    Vehicle(v.id, Position(v.position.x + dx, v.position.y + dy), v.speed, v.heading)
-                    for v in snap.vehicles.values()
-                ],
-                snap.transmission_range,
+                snap.transmission_range, snap.ids, snap.x + dx, snap.y + dy, snap.speed, snap.heading
             )
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
             for protocol in ("dir", "lar", "dlar"):
                 a = route(protocol, src, dst, snap, now=1.0)
@@ -530,52 +496,64 @@ class TestRouteProperties:
             theta = rng.uniform(0, 2 * math.pi)
             cos_t, sin_t = math.cos(theta), math.sin(theta)
             rotated = NetworkSnapshot(
-                [
-                    Vehicle(
-                        v.id,
-                        Position(
-                            v.position.x * cos_t - v.position.y * sin_t,
-                            v.position.x * sin_t + v.position.y * cos_t,
-                        ),
-                        v.speed,
-                        wrap_angle(v.heading + theta),
-                    )
-                    for v in snap.vehicles.values()
-                ],
                 snap.transmission_range,
+                snap.ids,
+                snap.x * cos_t - snap.y * sin_t,
+                snap.x * sin_t + snap.y * cos_t,
+                snap.speed,
+                wrap_angle(snap.heading + theta),
             )
-            ids = sorted(snap.vehicles)
+            ids = snap.ids.tolist()
             src, dst = rng.sample(ids, 2)
             a = route("dir", src, dst, snap)
             b = route("dir", src, dst, rotated)
             assert a.path == b.path and a.outcome == b.outcome
 
 
-class TestPacket:
-    def test_visited_defaults_to_source(self):
-        packet = dlar_packet(3, 7, Position(0, 0))
-        assert packet.visited == [3]
-
-    def test_rejects_bad_traces(self):
-        with pytest.raises(ValueError):
-            Packet(1, 2, Position(0, 0), 0.0, 0.0, visited=[2, 1])
-        with pytest.raises(ValueError):
-            Packet(1, 2, Position(0, 0), 0.0, 0.0, visited=[1, 3, 3])
-        with pytest.raises(ValueError):
-            Packet(1, 2, Position(0, 0), 0.0, 0.0, ttl=-1)
+def columns(**changes):
+    """Columns of three valid vehicles, with ``changes`` applied."""
+    base = dict(ids=[0, 1, 2], x=[0.0, 50.0, 90.0], y=[0.0, 0.0, 0.0],
+                speed=[1.0, 0.0, 2.0], heading=[0.0, 1.0, -1.0])
+    return {**base, **changes}
 
 
 class TestSnapshot:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            NetworkSnapshot([Vehicle(1, Position(0, 0)), Vehicle(1, Position(1, 1))], 100)
+            NetworkSnapshot(100, [1, 1], [0, 1], [0, 1], [0, 0], [0, 0])
 
     def test_non_positive_range_rejected(self):
         with pytest.raises(ValueError):
-            NetworkSnapshot([], 0.0)
+            NetworkSnapshot(0.0, [], [], [], [], [])
 
-    def test_vehicle_heading_wrapped(self):
-        v = Vehicle(0, Position(0, 0), 1.0, -math.pi)
-        assert v.heading == math.pi
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(ids=[2, 0, 1]),
+            dict(ids=[0, 0, 1]),
+            dict(ids=[0.0, 1.0, 2.0]),
+            dict(ids=[[0, 1, 2]]),
+            dict(x=[0.0, 50.0]),
+            dict(speed=[1.0, 0.0, 2.0, 3.0]),
+            dict(x=[math.nan, 50.0, 90.0]),
+            dict(y=[0.0, math.inf, 0.0]),
+            dict(heading=[0.0, math.nan, 0.0]),
+            dict(speed=[1.0, -5.0, 2.0]),
+            dict(speed=[1.0, math.inf, 2.0]),
+            dict(speed=[1.0, math.nan, 2.0]),
+        ],
+        ids=[
+            "unsorted-ids", "duplicate-ids", "float-ids", "2d-ids", "short-x", "long-speed",
+            "nan-x", "inf-y", "nan-heading", "negative-speed", "inf-speed", "nan-speed",
+        ],
+    )
+    def test_invalid_columns_rejected(self, changes):
+        NetworkSnapshot(100.0, **columns())
         with pytest.raises(ValueError):
-            Vehicle(0, Position(0, 0), -1.0)
+            NetworkSnapshot(100.0, **columns(**changes))
+
+    def test_columns_are_read_only(self):
+        snap = NetworkSnapshot(100.0, **columns())
+        assert neighbors(1, snap) == [0, 2]
+        with pytest.raises(ValueError):
+            snap.x[0] = 1.0

@@ -11,6 +11,7 @@ appear only at the public functions.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -30,6 +31,12 @@ HALF_PI = math.pi / 2.0
 # temporary); a level's frontier is cut into blocks of rows to stay under it.
 _FLOOD_BLOCK_ENTRIES = 2**18
 
+# Ids and speed columns that passed their check and were made read-only, by
+# id(): a snapshot moved in time (netsim._reflect) carries both over
+# unchanged, so they are checked only when first seen.  Ids are integer and
+# speeds float, so an entry's role is never in doubt.
+_checked: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
+
 
 class NetworkSnapshot:
     """An immutable view of all vehicles sharing one transmission range.
@@ -45,20 +52,28 @@ class NetworkSnapshot:
         if not transmission_range > 0:
             raise ValueError(f"transmission_range must be > 0, got {transmission_range!r}")
         ids = np.asarray(ids)
+        if ids.size == 0:
+            ids = ids.astype(np.int64)  # an empty list comes out as float64
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
             raise ValueError(f"ids must be 1-D integers, got {ids.dtype} of shape {ids.shape}")
-        if not (ids[1:] > ids[:-1]).all():
-            raise ValueError("ids must be in strictly ascending order")
         x, y, speed, heading = (np.asarray(c, dtype=float) for c in (x, y, speed, heading))
-        if any(c.shape != ids.shape for c in (x, y, speed, heading)):
+        if not x.shape == y.shape == speed.shape == heading.shape == ids.shape:
             raise ValueError("x, y, speed and heading must each hold one value per id")
-        if not all(np.isfinite(c).all() for c in (x, y, heading)):
+        if _checked.get(id(ids)) is not ids:
+            if not (ids[1:] > ids[:-1]).all():
+                raise ValueError("ids must be in strictly ascending order")
+            ids.flags.writeable = False
+            _checked[id(ids)] = ids
+        if not np.isfinite((x, y, heading)).all():
             raise ValueError("x, y and heading must be finite")
-        if not ((0.0 <= speed) & (speed < math.inf)).all():
-            raise ValueError("speed must be finite and >= 0")
-        self.transmission_range = float(transmission_range)
-        for column in (ids, x, y, speed, heading):
+        if _checked.get(id(speed)) is not speed:
+            if not ((0.0 <= speed) & (speed < math.inf)).all():
+                raise ValueError("speed must be finite and >= 0")
+            speed.flags.writeable = False
+            _checked[id(speed)] = speed
+        for column in (x, y, heading):
             column.flags.writeable = False
+        self.transmission_range = float(transmission_range)
         self.ids, self.x, self.y, self.speed, self.heading = ids, x, y, speed, heading
 
     def row(self, v_id: int) -> int:

@@ -310,18 +310,22 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("protocol", ["dir", "lar", "dlar"])
     def test_builds_vehicle_objects_per_hop_not_per_vehicle(self, monkeypatch, protocol):
-        # Routing works on snapshot rows and builds a Position only for the
-        # few points of a hop (forwarder, destination, zone corners, near-tied
-        # candidates), never one per vehicle of a snapshot.
-        built = []
+        # The only per-vehicle object left is a Position.  Routing works on
+        # snapshot rows and builds one only for the few points of a hop
+        # (forwarder, destination, zone corners, near-tied candidates), never
+        # one per vehicle of a snapshot: at most 8 for each vehicle on a
+        # realized path, against 2000 vehicles per snapshot.
+        built, results = [], []
         post_init = Position.__post_init__
         monkeypatch.setattr(Position, "__post_init__", lambda p: built.append(p) or post_init(p))
+        route = netsim.route
+        monkeypatch.setattr(netsim, "route", lambda *a, **k: results.append(route(*a, **k)) or results[-1])
         config = small_config(
             field_width=2000.0, field_height=2000.0, node_count=2000, tx_range=250.0,
             duration=10.0, flows=20, protocol=protocol,
         )
-        assert run_campaign(config).sent == 20
-        assert 0 < len(built) < config.node_count
+        assert run_campaign(config).sent == len(results) == 20
+        assert 0 < len(built) <= 8 * sum(len(r.path) for r in results)
 
     def test_single_vehicle_sends_nothing(self):
         metrics = run_campaign(small_config(node_count=1, flows=5))

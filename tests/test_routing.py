@@ -523,8 +523,14 @@ class TestSnapshot:
             NetworkSnapshot(100, [1, 1], [0, 1], [0, 1], [0, 0], [0, 0])
 
     def test_non_positive_range_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkSnapshot(0.0, [], [], [], [], [])
+        for reach in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="transmission_range"):
+                NetworkSnapshot(reach, **columns())
+
+    def test_empty_snapshot_from_lists(self):
+        snap = NetworkSnapshot(100.0, [], [], [], [], [])
+        assert len(snap) == 0
+        assert snap.ids.dtype.kind == "i"
 
     @pytest.mark.parametrize(
         "changes",
@@ -551,6 +557,18 @@ class TestSnapshot:
         NetworkSnapshot(100.0, **columns())
         with pytest.raises(ValueError):
             NetworkSnapshot(100.0, **columns(**changes))
+
+    def test_columns_of_a_snapshot_are_reused_and_new_ones_checked(self):
+        snap = NetworkSnapshot(100.0, **columns())
+        moved = NetworkSnapshot(100.0, **columns(ids=snap.ids, speed=snap.speed, x=[5.0, 6.0, 7.0]))
+        assert moved.ids is snap.ids and moved.speed is snap.speed
+        with pytest.raises(ValueError, match="finite"):
+            NetworkSnapshot(100.0, **columns(ids=snap.ids, speed=snap.speed, x=[math.nan, 6.0, 7.0]))
+        # A read-only column that no snapshot has checked is still checked.
+        speed = np.array([1.0, -5.0, 2.0])
+        speed.flags.writeable = False
+        with pytest.raises(ValueError, match="speed"):
+            NetworkSnapshot(100.0, **columns(ids=snap.ids, speed=speed))
 
     def test_columns_are_read_only(self):
         snap = NetworkSnapshot(100.0, **columns())

@@ -136,8 +136,10 @@ def _campaign_csv(
     sweep: Optional[tuple[str, list[float]]],
     protocols: Optional[Sequence[str]],
 ) -> str:
-    """Metrics CSV, one row per sweep cell and protocol (default: the cell's);
-    the rows of one cell share placements and flows, which depend on the seed."""
+    """Metrics CSV, one row per sweep cell and protocol (default: the cell's).
+
+    Each cell is one campaign walk, routed under every protocol: the rows of
+    a cell share placement, mobility, beacon views and flow endpoints."""
     cells = [config]
     if sweep is not None:
         key, values = sweep
@@ -146,9 +148,9 @@ def _campaign_csv(
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(METRICS_HEADER)
     for cell in cells:
-        for protocol in protocols or (cell.protocol,):
-            run_config = replace(cell, protocol=protocol)
-            writer.writerow(metrics_row(run_config, run_campaign(run_config)))
+        cell_protocols = protocols or (cell.protocol,)
+        for protocol, metrics in zip(cell_protocols, run_campaign(cell, cell_protocols)):
+            writer.writerow(metrics_row(replace(cell, protocol=protocol), metrics))
     return buf.getvalue()
 
 

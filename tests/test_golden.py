@@ -4,7 +4,8 @@ Seeded output is promised to stay byte-identical, so a change to any of
 these digests is a change of results and must be deliberate.  The runs take
 a few seconds together.  Besides small compare, D-LAR and analyze runs, they
 cover a compare run whose ttl of 5 cuts LAR floods short (its lar row counts
-ttl drops), dense DIR and LAR campaigns of 4,000 vehicles, and DIR and D-LAR
+ttl drops), a compare density sweep whose every cell draws its own walk,
+dense DIR and LAR campaigns of 4,000 vehicles, and DIR and D-LAR
 on a field of 1e300 m, where the greedy chooser's angle products overflow.
 Two analyze runs stress the streamed Monte Carlo draw: 30,000 trials, whose
 draws span about a hundred blocks, and a density whose every trial holds more
@@ -22,6 +23,8 @@ COMPARE = ["compare", "node_count=300", "flows=40", "beacon_interval=1.7", "time
 SIMULATE = ["simulate", "protocol=dlar", *FIELD, "node_count=1500", "flows=40", "beacon_interval=3"]
 COMPARE_TTL = ["compare", *FIELD, "node_count=800", "flows=60", "beacon_interval=1.7",
                "time_step=0.4", "ttl=5"]
+COMPARE_SWEEP = ["compare", "--sweep", "density=0.0001:0.0003:3", "flows=20",
+                 "beacon_interval=1.7"]
 SIMULATE_LAR = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=lar", "flows=20"]
 SIMULATE_DIR = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=dir",
                 "flows=100", "beacon_interval=3"]
@@ -45,6 +48,7 @@ GOLDEN = [
     (MC_BENCH, 1, "8e5a015c0ce176373c354a336c94308936eab98311af7eefc31c09d8eea2d0a2"),
     (MC_DENSE, 1, "2dd74a920c39468ee8f25d3b8b0087024d438cdbb79b1ebe46de5402df8820d5"),
     (COMPARE_TTL, 1, "07e7da0b3fa6b6ec4fccec8e128fef82f73ce362f6287f5c2514e895da832689"),
+    (COMPARE_SWEEP, 1, "7f2f9a955d3105acd451e70e324f2770115ec23e1013c8dcbc91ed05536938d2"),
     (SIMULATE_LAR, 1, "f8b77b22c72769e3738e7682b1bfc7e20e875823f7b1c5904990825940fb5f46"),
     (SIMULATE_DIR, 1, "9aaa1eac2480de4ba9adc5b8183f63b77daabf398d1d087a6edc5d6ea685c2ae"),
     (HUGE_DIR, 1, "491d16114dbd998f2e77b1b81f652248a80882a89d8e96099395e9c352fa3d98"),
@@ -52,7 +56,8 @@ GOLDEN = [
 ]
 
 SUFFIX = {
-    id(MC): "-mc", id(MC_BENCH): "-mc30000", id(MC_DENSE): "-mc-dense", id(COMPARE_TTL): "-ttl5", id(SIMULATE_LAR): "-lar4000",
+    id(MC): "-mc", id(MC_BENCH): "-mc30000", id(MC_DENSE): "-mc-dense", id(COMPARE_TTL): "-ttl5",
+    id(COMPARE_SWEEP): "-sweep", id(SIMULATE_LAR): "-lar4000",
     id(SIMULATE_DIR): "-dir4000", id(HUGE_DIR): "-dir1e300", id(HUGE_DLAR): "-dlar1e300",
 }
 IDS = [f"{argv[0]}{SUFFIX.get(id(argv), '')}-seed{seed}" for argv, seed, _ in GOLDEN]

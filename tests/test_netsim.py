@@ -19,7 +19,8 @@ from geo_route_sim.netsim import (
     snapshot_digest,
     step_mobility,
 )
-from geo_route_sim.routing import NetworkSnapshot
+from geo_route_sim.cli import _campaign_csv
+from geo_route_sim.routing import PROTOCOLS, NetworkSnapshot
 from oracles import make_snapshot, position
 
 
@@ -211,13 +212,18 @@ class TestFiringSteps:
         steps = [_firing_step(i * duration / flows, time_step) for i in range(flows)]
         assert steps == oracles.firing_steps_by_stepping(duration, flows, time_step)
 
-    def test_moves_only_when_a_flow_fires(self, monkeypatch):
-        calls = []
-        real = netsim.step_mobility
+    @pytest.mark.parametrize("protocols", [None, PROTOCOLS], ids=["simulate", "compare"])
+    def test_moves_only_when_a_flow_fires(self, monkeypatch, protocols):
+        # A compare cell is one walk: one placement and one move per firing
+        # time, shared by all its protocols.
+        placed, calls = [], []
+        generate, real = netsim.generate_nodes, netsim.step_mobility
+        monkeypatch.setattr(netsim, "generate_nodes", lambda c: placed.append(c) or generate(c))
         monkeypatch.setattr(
             netsim, "step_mobility", lambda snap, dt, *a: calls.append(dt) or real(snap, dt, *a)
         )
-        run_campaign(small_config(duration=60.0, flows=6))
+        _campaign_csv(small_config(duration=60.0, flows=6), None, protocols)
+        assert len(placed) == 1
         assert calls == [10.0, 20.0, 30.0, 40.0, 50.0]
 
 
@@ -267,7 +273,7 @@ class TestBeaconView:
 
 class TestRunCampaign:
     def test_no_flows(self):
-        metrics = run_campaign(small_config(flows=0))
+        metrics = run_campaign(small_config(flows=0))[0]
         assert metrics.sent == 0
         assert metrics.delivered == 0
         assert metrics.pdr is None
@@ -284,7 +290,7 @@ class TestRunCampaign:
                 duration=1.0,
                 protocol=protocol,
             )
-            metrics = run_campaign(config)
+            metrics = run_campaign(config)[0]
             assert metrics.sent == 10
             assert metrics.pdr == 1.0
             assert metrics.mean_hop_count == 1.0
@@ -292,13 +298,13 @@ class TestRunCampaign:
 
     def test_conservation(self):
         for seed in range(8):
-            metrics = run_campaign(small_config(seed=seed, flows=25, protocol="dlar"))
+            metrics = run_campaign(small_config(seed=seed, flows=25, protocol="dlar"))[0]
             assert metrics.delivered + sum(metrics.drop_breakdown.values()) == metrics.sent
 
     def test_deterministic_metrics(self):
         config = small_config(seed=123, flows=30)
-        a = run_campaign(config)
-        b = run_campaign(config)
+        a = run_campaign(config)[0]
+        b = run_campaign(config)[0]
         assert a == b
         assert metrics_row(config, a) == metrics_row(config, b)
 
@@ -306,7 +312,7 @@ class TestRunCampaign:
         # Flow 21 fires at 21 * 0.3 = 6.3 s, where floor(6.3 / 2.1) * 2.1 is
         # 6.300000000000001.
         config = SimConfig(time_step=0.3, beacon_interval=2.1, duration=6.6, flows=22, node_count=50)
-        assert run_campaign(config).sent == 22
+        assert run_campaign(config)[0].sent == 22
 
     @pytest.mark.parametrize("protocol", ["dir", "lar", "dlar"])
     def test_builds_vehicle_objects_per_hop_not_per_vehicle(self, monkeypatch, protocol):
@@ -324,11 +330,32 @@ class TestRunCampaign:
             field_width=2000.0, field_height=2000.0, node_count=2000, tx_range=250.0,
             duration=10.0, flows=20, protocol=protocol,
         )
-        assert run_campaign(config).sent == len(results) == 20
+        assert run_campaign(config)[0].sent == len(results) == 20
         assert 0 < len(built) <= 8 * sum(len(r.path) for r in results)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(beacon_interval=1.7, time_step=0.4, duration=10.0, flows=30),
+            dict(field_width=2000.0, field_height=2000.0, node_count=800, tx_range=250.0,
+                 flows=30, ttl=5),
+            dict(node_count=1),
+            dict(flows=0),
+        ],
+        ids=["lagging-beacons", "ttl5-800", "one-vehicle", "no-flows"],
+    )
+    def test_one_walk_equals_a_campaign_per_protocol(self, overrides):
+        cell = small_config(**overrides)
+        expected = [run_campaign(replace(cell, protocol=p))[0] for p in PROTOCOLS]
+        assert run_campaign(cell, PROTOCOLS) == expected
+
+    def test_unknown_protocol_rejected_before_placement(self, monkeypatch):
+        monkeypatch.setattr(netsim, "generate_nodes", lambda c: pytest.fail("nodes drawn"))
+        with pytest.raises(ValueError, match="aodv"):
+            run_campaign(small_config(), ("dir", "aodv"))
+
     def test_single_vehicle_sends_nothing(self):
-        metrics = run_campaign(small_config(node_count=1, flows=5))
+        metrics = run_campaign(small_config(node_count=1, flows=5))[0]
         assert metrics.sent == 0
 
     def test_config_validation_runs_before_work(self):

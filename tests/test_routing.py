@@ -569,6 +569,14 @@ class TestSnapshot:
         speed.flags.writeable = False
         with pytest.raises(ValueError, match="speed"):
             NetworkSnapshot(100.0, **columns(ids=snap.ids, speed=speed))
+        # A checked column that its owner made writeable again and changed is
+        # checked again.
+        for name, value in (("ids", [7, 1, 2]), ("speed", [1.0, -5.0, 2.0])):
+            column = getattr(NetworkSnapshot(100.0, **columns()), name)
+            column.flags.writeable = True
+            column[:] = value
+            with pytest.raises(ValueError, match=name):
+                NetworkSnapshot(100.0, **columns(**{name: column}))
 
     def test_columns_are_read_only(self):
         snap = NetworkSnapshot(100.0, **columns())

@@ -20,6 +20,8 @@ MAX_TRIAL_POINTS = 1_000_000
 # Most expected slots in one Monte Carlo draw, each trial's count plus the
 # points of its box; bounds the work of one draw, which streams its points.
 MAX_DRAW_POINTS = 50_000_000
+# Most rows of one analyze table, len(densities) * 2 * k_max.
+MAX_ANALYZE_ROWS = 1_000_000
 # Points drawn per block of a Monte Carlo draw, small enough to stay in cache.
 _BLOCK_POINTS = 2**15
 
@@ -108,10 +110,11 @@ def region_counts(
     estimates an independent check on the closed forms.  ``params.k`` is not
     used.
 
-    The draws equal the one-shot draw: the box counts, then every point's x,
-    then every point's y, all from one generator seeded with ``seed``.  They
-    are taken in blocks of ``_BLOCK_POINTS`` points, so memory holds a few
-    values per trial plus one block.
+    The draws and counts equal the one-shot draw's: the box counts, then every
+    point's x, then every point's y, all from one generator seeded with
+    ``seed``.  They are taken in blocks of ``_BLOCK_POINTS`` points into reused
+    buffers, and hits are tallied at trial ends, not per point, so memory
+    holds a few values per trial plus one block.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -126,24 +129,38 @@ def region_counts(
     y_bits = np.random.PCG64()
     y_bits.state = rng.bit_generator.state
     y_rng = np.random.Generator(y_bits.advance(total))
-    # hits_to_end[t]: region points among the draws of trials 0..t
-    hits_to_end = np.zeros(trials, dtype=np.int64)
-    hits = 0
+    counts = np.zeros(trials, dtype=np.int64)
+    carry = 0  # region points drawn since the last trial end
     first = int(np.searchsorted(ends, 0, side="right"))  # first trial not yet ended
+    # Blocks reuse their buffers; rng.uniform(low, high) is low + (high - low) * U.
+    size = min(_BLOCK_POINTS, total)
+    xs_buf, ys_buf, inside_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for start in range(0, total, _BLOCK_POINTS):
-        stop = min(start + _BLOCK_POINTS, total)
-        xs = rng.uniform(low, high, size=stop - start)
-        ys = y_rng.uniform(low, high, size=stop - start)
-        np.multiply(xs, xs, out=xs)
-        np.multiply(ys, ys, out=ys)
+        n = min(_BLOCK_POINTS, total - start)
+        xs, ys, inside = xs_buf[:n], ys_buf[:n], inside_buf[:n]
+        for coords, gen in ((xs, rng), (ys, y_rng)):
+            gen.random(out=coords)
+            coords *= high - low
+            coords += low
+            coords *= coords
         xs += ys
-        running = np.cumsum(xs <= r * r)
-        running += hits
-        last = first + int(np.searchsorted(ends[first:], stop, side="right"))
-        hits_to_end[first:last] = running[ends[first:last] - (start + 1)]
-        hits = int(running[-1])
+        np.less_equal(xs, r * r, out=inside)
+        last = first + int(np.searchsorted(ends[first:], start + n, side="right"))
+        if last == first:
+            carry += np.count_nonzero(inside)
+        else:
+            # The first trial at each distinct end takes the hits since the end
+            # before; reduceat would give a[i], not 0, at a repeated index.
+            local = ends[first:last] - start
+            new_end = np.concatenate(([True], local[1:] != local[:-1]))
+            bounds = local[new_end]
+            starts = np.concatenate(([0], bounds[:-1]))
+            sums = np.add.reduceat(inside.view(np.uint8)[: bounds[-1]], starts)
+            counts[first:last][new_end] = sums
+            counts[first] += carry
+            carry = np.count_nonzero(inside[bounds[-1] :])
         first = last
-    return np.diff(hits_to_end, prepend=0)
+    return counts
 
 
 def _estimate(hits: int, trials: int) -> MonteCarloEstimate:
@@ -187,8 +204,9 @@ class AnalyzeConfig:
         limit = math.inf if self.mc_trials is None else MAX_TRIAL_POINTS
         if not box_points < limit:
             raise ValueError(f"densities * (2 * tx_range)**2 must be < {limit}, got {box_points!r}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max!r}")
+        max_k = MAX_ANALYZE_ROWS // (2 * len(self.densities))
+        if not 1 <= self.k_max <= max_k:
+            raise ValueError(f"k_max must be in [1, {max_k}], got {self.k_max!r}")
         if self.mc_trials is not None:
             if self.mc_trials < 1:
                 raise ValueError(f"mc_trials must be >= 1, got {self.mc_trials!r}")

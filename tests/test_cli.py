@@ -11,7 +11,7 @@ from geo_route_sim.cli import (
     main,
     parse_config,
 )
-from geo_route_sim.feasibility import AnalyzeConfig
+from geo_route_sim.feasibility import MAX_ANALYZE_ROWS, AnalyzeConfig
 from geo_route_sim.netsim import MAX_FLOWS, SimConfig, generate_nodes, snapshot_digest
 from geo_route_sim.routing import PROTOCOLS
 
@@ -264,6 +264,8 @@ def test_extreme_configs_finish_or_name_the_key(capsys, argv, key):
     [
         (["simulate", "flows=1000000000", "node_count=2"], "flows"),
         (["simulate", "--sweep", "density=0.0001:0.0002:1000000000"], "sweep steps"),
+        (["analyze", "k_max=1000000000"], "k_max"),
+        (["analyze", "k_max=1000000000", "--mc-trials", "10"], "k_max"),
     ],
 )
 def test_unbounded_work_is_a_config_error(capsys, argv, key):
@@ -282,3 +284,6 @@ def test_work_caps_are_inclusive():
     assert len(_parse_sweep(f"density=1e-4:2e-4:{MAX_SWEEP_STEPS}")[1]) == MAX_SWEEP_STEPS
     with pytest.raises(ConfigError, match="sweep steps"):
         _parse_sweep(f"density=1e-4:2e-4:{MAX_SWEEP_STEPS + 1}")
+    AnalyzeConfig(densities=(1e-4, 2e-4), k_max=MAX_ANALYZE_ROWS // 4).validate()
+    with pytest.raises(ValueError, match="k_max"):
+        AnalyzeConfig(densities=(1e-4, 2e-4), k_max=MAX_ANALYZE_ROWS // 4 + 1).validate()

@@ -222,6 +222,20 @@ class TestRegionCountBlocks:
         assert np.array_equal(region_counts(params, region, 4, 5), expected)
 
     @pytest.mark.parametrize("region", list(RegionKind))
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+    def test_mostly_empty_trials(self, monkeypatch, region, block):
+        # A box mean of 0.5 points leaves most trials empty, so trial ends
+        # repeat, within a block and at its edges.
+        if block is not None:
+            monkeypatch.setattr(feasibility, "_BLOCK_POINTS", block)
+        r = 10.0
+        side = 2.0 * r if region is RegionKind.FULL_CIRCLE else r
+        params = FeasibilityParams(0.5 / side**2, r)
+        counts = region_counts(params, region, 2000, 7)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, one_shot_counts(params, region, 2000, 7))
+
+    @pytest.mark.parametrize("region", list(RegionKind))
     def test_no_points_at_all(self, region):
         params = FeasibilityParams(1e-12, 250.0)
         counts = region_counts(params, region, 50, 1)

@@ -7,9 +7,9 @@ cover a compare run whose ttl of 5 cuts LAR floods short (its lar row counts
 ttl drops), a compare density sweep whose every cell draws its own walk,
 dense DIR and LAR campaigns of 4,000 vehicles, and DIR and D-LAR
 on a field of 1e300 m, where the greedy chooser's angle products overflow.
-Two analyze runs stress the streamed Monte Carlo draw: 30,000 trials, whose
-draws span about a hundred blocks, and a density whose every trial holds more
-points than one block.
+Three analyze runs stress the streamed Monte Carlo draw: 30,000 trials, whose
+draws span about a hundred blocks, a density whose every trial holds more
+points than one block, and a density so sparse that most trials are empty.
 """
 
 import hashlib
@@ -35,6 +35,7 @@ HUGE_DIR, HUGE_DLAR = HUGE + ["protocol=dir"], HUGE + ["protocol=dlar"]
 MC = ["analyze", "--mc-trials", "2000"]
 MC_BENCH = ["analyze", "--mc-trials", "30000"]
 MC_DENSE = ["analyze", "densities=0.2", "k_max=3", "--mc-trials", "50"]
+MC_SPARSE = ["analyze", "densities=0.000002", "k_max=3", "--mc-trials", "20000"]
 
 GOLDEN = [
     (COMPARE, 1, "07db13109687ad2ed9e795cc28b41cc85f061d7d6ff78ef9621762c1ae705202"),
@@ -47,6 +48,7 @@ GOLDEN = [
     (MC, 2, "ff583726cc9d4ee33b97fdb904026bc231eb3befefd358a5dbe41bb9c9c6aeec"),
     (MC_BENCH, 1, "8e5a015c0ce176373c354a336c94308936eab98311af7eefc31c09d8eea2d0a2"),
     (MC_DENSE, 1, "2dd74a920c39468ee8f25d3b8b0087024d438cdbb79b1ebe46de5402df8820d5"),
+    (MC_SPARSE, 1, "b5b61e9cc217a8b8446ccbb11db797416cb97fa87a75b5a6b10edb68b25369f0"),
     (COMPARE_TTL, 1, "07e7da0b3fa6b6ec4fccec8e128fef82f73ce362f6287f5c2514e895da832689"),
     (COMPARE_SWEEP, 1, "7f2f9a955d3105acd451e70e324f2770115ec23e1013c8dcbc91ed05536938d2"),
     (SIMULATE_LAR, 1, "f8b77b22c72769e3738e7682b1bfc7e20e875823f7b1c5904990825940fb5f46"),
@@ -56,7 +58,8 @@ GOLDEN = [
 ]
 
 SUFFIX = {
-    id(MC): "-mc", id(MC_BENCH): "-mc30000", id(MC_DENSE): "-mc-dense", id(COMPARE_TTL): "-ttl5",
+    id(MC): "-mc", id(MC_BENCH): "-mc30000", id(MC_DENSE): "-mc-dense",
+    id(MC_SPARSE): "-mc-sparse", id(COMPARE_TTL): "-ttl5",
     id(COMPARE_SWEEP): "-sweep", id(SIMULATE_LAR): "-lar4000",
     id(SIMULATE_DIR): "-dir4000", id(HUGE_DIR): "-dir1e300", id(HUGE_DLAR): "-dlar1e300",
 }

@@ -17,7 +17,7 @@ from .feasibility import (
     poisson_pmf,
     prob_at_least_k,
 )
-from .geometry import Position, bearing, deviation_angle, distance, wrap_angle
+from .geometry import Position, deviation_angle, distance, wrap_angle
 from .netsim import (
     CampaignMetrics,
     METRICS_HEADER,
@@ -26,7 +26,6 @@ from .netsim import (
     generate_nodes,
     metrics_row,
     run_campaign,
-    snapshot_digest,
     step_mobility,
 )
 from .routing import (
@@ -69,7 +68,6 @@ __all__ = [
     "SimConfig",
     "analyze_csv",
     "beacon_view",
-    "bearing",
     "deviation_angle",
     "dir_next_hop",
     "distance",
@@ -87,7 +85,6 @@ __all__ = [
     "request_zone",
     "route",
     "run_campaign",
-    "snapshot_digest",
     "step_mobility",
     "wrap_angle",
 ]

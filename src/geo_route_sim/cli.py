@@ -7,7 +7,9 @@ Grammar::
                   [key=value ...]
 
 Bare ``key=value`` arguments override config-file entries; they may appear
-anywhere on the command line.
+anywhere on the command line.  ``--seed N`` and ``--mc-trials N`` set the
+``seed`` and ``mc_trials`` keys and win over both.  Under ``--sweep`` the
+base config takes the first swept value, and every cell is validated.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -89,20 +91,6 @@ def _validated(config):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return config
-
-
-def format_config(config) -> str:
-    """Render a configuration back to key=value text; reparsing yields an
-    equal configuration."""
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = ",".join(repr(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def _parse_sweep(spec: str) -> tuple[str, list[float]]:
@@ -195,19 +183,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         overrides = [_split_override(item) for item in extras]
-        config = parse_config(text, args.command, overrides)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
+            overrides.append(("seed", str(args.seed)))
         if args.mc_trials is not None:
             if args.command != "analyze":
                 raise ConfigError("--mc-trials is only valid for the analyze command")
-            config = replace(config, mc_trials=args.mc_trials)
+            overrides.append(("mc_trials", str(args.mc_trials)))
         sweep = None
         if args.sweep is not None:
             if args.command == "analyze":
                 raise ConfigError("--sweep is only valid for simulate/compare")
             sweep = _parse_sweep(args.sweep)
-        _validated(config)
+            overrides.append((sweep[0], repr(sweep[1][0])))
+        config = parse_config(text, args.command, overrides)
 
         if args.command == "analyze":
             output = analyze_csv(config)

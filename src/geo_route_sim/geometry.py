@@ -1,7 +1,7 @@
 """Planar geometric primitives for position-based forwarding decisions.
 
-Angles are plain floats in radians.  Bearings are measured counter-clockwise
-from the +x axis and lie in (-pi, pi]; deviation angles are unsigned and lie
+Angles are plain floats in radians, measured counter-clockwise from the +x
+axis.  Wrapped angles lie in (-pi, pi]; deviation angles are unsigned and lie
 in [0, pi].
 """
 
@@ -33,19 +33,6 @@ def distance(a: Position, b: Position) -> float:
 def wrap_angle(radians: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     return math.pi - (math.pi - radians) % TWO_PI
-
-
-def bearing(origin: Position, target: Position) -> float:
-    """Direction of the vector from ``origin`` to ``target``, in (-pi, pi].
-
-    Uses the full-quadrant (two-argument) arctangent so that targets west of
-    the origin resolve to the correct half-plane.
-    """
-    if target == origin:
-        raise ValueError("bearing is undefined for coincident positions")
-    angle = math.atan2(target.y - origin.y, target.x - origin.x)
-    # atan2 may return -pi for directions along the -x axis; fold onto +pi.
-    return math.pi if angle <= -math.pi else angle
 
 
 def deviation_angle(pivot: Position, candidate: Position, target: Position) -> float:

@@ -8,13 +8,12 @@ flows), so replays are byte-identical and adding flows never perturbs node
 placement.
 """
 
-import hashlib
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package, not in a run
 
 from .geometry import wrap_angle
 from .routing import (
@@ -26,8 +25,6 @@ from .routing import (
     RouteResult,
     route,
 )
-
-logger = logging.getLogger(__name__)
 
 # Largest campaign accepted, in vehicles; each takes 40 B per snapshot.
 MAX_NODES = 1_000_000
@@ -274,14 +271,6 @@ def run_campaign(
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     start = generate_nodes(config)  # validates the config first
     _, _, flow_rng = _rng_streams(config.seed)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "campaign protocols=%s density=%g seed=%d snapshot=%s",
-            ",".join(protocols),
-            config.density,
-            config.seed,
-            snapshot_digest(start),
-        )
     ids = start.ids.tolist()
     width, height = config.field_width, config.field_height
 
@@ -308,15 +297,23 @@ def _fmt_real(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
+def _fmt_key(value: float) -> str:
+    """``value`` to 6 decimals, or as ``repr`` where reading those decimals
+    back would move it by more than a relative 1e-12."""
+    text = f"{value:.6f}"
+    return text if abs(float(text) - value) <= 1e-12 * abs(value) else repr(value)
+
+
 def metrics_row(config: SimConfig, metrics: CampaignMetrics) -> list[str]:
     """One metrics-CSV row for a (protocol, density, seed) cell.
 
-    Reals use fixed 6-decimal formatting; undefined rates print empty.
+    Rates use fixed 6-decimal formatting and print empty where undefined;
+    ``density`` and ``tx_range`` print as :func:`_fmt_key` gives them.
     """
     return [
         config.protocol,
-        _fmt_real(config.density),
-        _fmt_real(config.tx_range),
+        _fmt_key(config.density),
+        _fmt_key(config.tx_range),
         str(config.seed),
         str(metrics.sent),
         str(metrics.delivered),
@@ -328,10 +325,3 @@ def metrics_row(config: SimConfig, metrics: CampaignMetrics) -> list[str]:
         "0",  # loop_drops: candidate filters exclude visited ids, so no loop forms
         str(metrics.drop_breakdown[Outcome.ZONE_UNREACHABLE.value]),
     ]
-
-
-def snapshot_digest(snapshot: NetworkSnapshot) -> str:
-    """Stable digest of a snapshot, for asserting identical placements."""
-    columns = (snapshot.ids, snapshot.x, snapshot.y, snapshot.speed, snapshot.heading)
-    payload = repr((snapshot.transmission_range, tuple(zip(*(c.tolist() for c in columns)))))
-    return hashlib.blake2s(payload.encode()).hexdigest()

@@ -300,6 +300,8 @@ def lar_route_discovery(
     unreached = np.flatnonzero(parent < 0)
     frontier = np.array([src])
     for _ in range(ttl):
+        if not len(frontier):
+            break  # no relay holds the request: zone_unreachable at any ttl
         level = []
         start = 0
         while start < len(frontier) and len(unreached):

@@ -7,6 +7,7 @@ the scalar reference of the greedy chooser's exact ranking.  Snapshots are
 read through their public columns only.
 """
 
+import hashlib
 import math
 import random
 from collections import deque
@@ -38,6 +39,26 @@ def coordinates(snapshot: NetworkSnapshot) -> dict[int, tuple[float, float]]:
 
 def position(snapshot: NetworkSnapshot, v_id: int) -> Position:
     return Position(*coordinates(snapshot)[v_id])
+
+
+def snapshot_digest(snapshot: NetworkSnapshot) -> str:
+    """Stable digest of a snapshot, for asserting identical placements."""
+    columns = (snapshot.ids, snapshot.x, snapshot.y, snapshot.speed, snapshot.heading)
+    payload = repr((snapshot.transmission_range, tuple(zip(*(c.tolist() for c in columns)))))
+    return hashlib.blake2s(payload.encode()).hexdigest()
+
+
+def bearing(origin: Position, target: Position) -> float:
+    """Direction of the vector from ``origin`` to ``target``, in (-pi, pi].
+
+    Uses the full-quadrant (two-argument) arctangent so that targets west of
+    the origin resolve to the correct half-plane.
+    """
+    if target == origin:
+        raise ValueError("bearing is undefined for coincident positions")
+    angle = math.atan2(target.y - origin.y, target.x - origin.x)
+    # atan2 may return -pi for directions along the -x axis; fold onto +pi.
+    return math.pi if angle <= -math.pi else angle
 
 
 def dist(ax, ay, bx, by):

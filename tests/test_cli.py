@@ -7,13 +7,13 @@ from geo_route_sim.cli import (
     ConfigError,
     _campaign_csv,
     _parse_sweep,
-    format_config,
     main,
     parse_config,
 )
 from geo_route_sim.feasibility import MAX_ANALYZE_ROWS, AnalyzeConfig
-from geo_route_sim.netsim import MAX_FLOWS, SimConfig, generate_nodes, snapshot_digest
+from geo_route_sim.netsim import MAX_FLOWS, SimConfig, generate_nodes
 from geo_route_sim.routing import PROTOCOLS
+from oracles import snapshot_digest
 
 ADJACENT_PAIR = [
     "field_width=100",
@@ -24,6 +24,11 @@ ADJACENT_PAIR = [
     "duration=1",
     "time_step=0.5",
 ]
+
+# A compare sweep whose base density, the default, would put 2,000,000
+# vehicles on the field; every cell replaces it with at most 3,000.
+WIDE_SWEEP = ["compare", "field_width=100000", "field_height=100000", "flows=4",
+              "--sweep", "density=0.0000001:0.0000003:3"]
 
 
 class TestParseConfig:
@@ -60,18 +65,6 @@ class TestParseConfig:
     def test_densities_list(self):
         config = parse_config("densities = 0.0001, 0.0003\n", "analyze")
         assert config.densities == (0.0001, 0.0003)
-
-    def test_round_trip_simulate(self):
-        config = parse_config("density=0.00031\nprotocol=lar\nseed=9\nttl=32\n", "simulate")
-        assert parse_config(format_config(config), "simulate") == config
-
-    def test_round_trip_analyze(self):
-        config = parse_config("densities=0.0001,0.0004\nk_max=7\nmc_trials=100\n", "analyze")
-        assert parse_config(format_config(config), "analyze") == config
-
-    def test_round_trip_defaults(self):
-        for command, config in (("simulate", SimConfig()), ("analyze", AnalyzeConfig())):
-            assert parse_config(format_config(config), command) == config
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +143,11 @@ class TestSimulateCommand:
         assert densities == sorted(densities)
         assert densities[0] == pytest.approx(1e-5, abs=5e-7)
         assert densities[-1] == pytest.approx(1e-4, abs=5e-7)
+
+    def test_key_columns_name_values_six_decimals_lose(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "tx_range=0.0000004", "flows=2")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1:3] == ["0.000200", "4e-07"]
 
     def test_config_file_plus_override(self, capsys, tmp_path):
         config_path = tmp_path / "run.cfg"
@@ -234,6 +232,51 @@ class TestExitCodes:
         assert run_cli(capsys, "--help")[0] == 0
 
 
+class TestFlagsAreKeys:
+    def test_seed_flag_equals_seed_key(self, capsys):
+        flag = run_cli(capsys, "simulate", "--seed", "7", "flows=5")
+        key = run_cli(capsys, "simulate", "seed=7", "flows=5")
+        assert flag[0] == key[0] == 0
+        assert flag[1] == key[1]
+
+    def test_mc_trials_flag_equals_mc_trials_key(self, capsys):
+        flag = run_cli(capsys, "analyze", "--mc-trials", "50", "k_max=2")
+        key = run_cli(capsys, "analyze", "mc_trials=50", "k_max=2")
+        assert flag[0] == key[0] == 0
+        assert flag[1] == key[1]
+
+    def test_seed_flag_beats_file_and_bare_override(self, capsys, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("seed = 3\nflows = 5\n")
+        for bare in ([], ["seed=5"]):
+            code, out, _ = run_cli(
+                capsys, "simulate", "--seed", "7", "--config", str(config_path), *bare
+            )
+            assert code == 0
+            assert out == run_cli(capsys, "simulate", "seed=7", "flows=5")[1]
+
+    def test_sweep_validates_cells_not_the_replaced_value(self, capsys):
+        code, out, err = run_cli(capsys, *WIDE_SWEEP)
+        assert code == 0, err
+        assert len(out.splitlines()) == 1 + 9
+        # Six decimals would print 0.000000 for every cell.
+        densities = [line.split(",")[1] for line in out.splitlines()[1:]]
+        assert densities == ["1e-07"] * 3 + ["2e-07"] * 3 + ["3e-07"] * 3
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["simulate", "--sweep", "density=1.5:2:2"], "density"),
+            (["simulate", "--sweep", "density=1e-5:1e-4:2", "tx_range=-5"], "tx_range"),
+            (["simulate", "--sweep", "tx_range=-5:100:2"], "tx_range"),
+        ],
+    )
+    def test_sweep_rejections_name_the_key(self, capsys, argv, key):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert key in err
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [
@@ -246,6 +289,7 @@ class TestExitCodes:
         (["analyze", "tx_range=inf"], "tx_range"),
         (["analyze", "tx_range=1e200"], "tx_range"),
         (["analyze", "densities=1e300", "--mc-trials", "10"], "densities"),
+        (["simulate", "protocol=lar", "density=0.00001", "flows=3", "ttl=1000000000000"], "ttl"),
     ],
 )
 def test_extreme_configs_finish_or_name_the_key(capsys, argv, key):

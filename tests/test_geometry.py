@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from geo_route_sim.geometry import (
     Position,
-    bearing,
     deviation_angle,
     distance,
     wrap_angle,
 )
+from oracles import bearing
 
 coords = st.floats(-1000.0, 1000.0, allow_nan=False, allow_infinity=False)
 positions = st.builds(Position, coords, coords)

@@ -16,12 +16,11 @@ from geo_route_sim.netsim import (
     generate_nodes,
     metrics_row,
     run_campaign,
-    snapshot_digest,
     step_mobility,
 )
 from geo_route_sim.cli import _campaign_csv
 from geo_route_sim.routing import PROTOCOLS, NetworkSnapshot
-from oracles import make_snapshot, position
+from oracles import make_snapshot, position, snapshot_digest
 
 
 def small_config(**overrides) -> SimConfig:

@@ -107,9 +107,13 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"sweep key {key!r} is not a numeric simulation parameter")
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ConfigError(f"sweep steps must be in [1, {MAX_SWEEP_STEPS}], got {steps}")
-    if steps == 1:
-        return key, [lo]
-    return key, [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    from decimal import Decimal  # here, so that only sweeps pay its import (~0.4 MB)
+
+    # Cells are exact in decimal and rounded once, so a typed grid prints as typed.
+    lo_dec, hi_dec = Decimal(repr(lo)), Decimal(repr(hi))
+    if not (lo_dec.is_finite() and hi_dec.is_finite()):
+        raise ConfigError(f"sweep {key} bounds must be finite, got {lo!r}:{hi!r}")
+    return key, [float(lo_dec + (hi_dec - lo_dec) * i / max(steps - 1, 1)) for i in range(steps)]
 
 
 def _split_override(text: str) -> tuple[str, str]:

@@ -144,6 +144,25 @@ class TestSimulateCommand:
         assert densities[0] == pytest.approx(1e-5, abs=5e-7)
         assert densities[-1] == pytest.approx(1e-4, abs=5e-7)
 
+    def test_sweep_cells_sit_on_the_typed_decimal_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--sweep", "density=1e-5:1e-4:5", "flows=4", "duration=1"
+        )
+        assert code == 0
+        densities = [line.split(",")[1] for line in out.splitlines()[1:]]
+        assert densities == ["0.000010", "3.25e-05", "0.000055", "7.75e-05", "0.000100"]
+        assert _parse_sweep("density=0.0001:0.0003:3")[1] == [0.0001, 0.0002, 0.0003]
+        assert _parse_sweep("tx_range=1e-300:1:3")[1] == [1e-300, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["density=1e-5:inf:3", "density=inf:inf:2", "density=-inf:1e-4:1", "density=nan:1:2"],
+    )
+    def test_non_finite_sweep_bounds_name_the_key(self, capsys, spec):
+        code, _, err = run_cli(capsys, "simulate", "--sweep", spec)
+        assert code == 1
+        assert "density" in err
+
     def test_key_columns_name_values_six_decimals_lose(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "tx_range=0.0000004", "flows=2")
         assert code == 0

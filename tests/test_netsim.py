@@ -1,7 +1,9 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import geo_route_sim.netsim as netsim
@@ -211,19 +213,117 @@ class TestFiringSteps:
         steps = [_firing_step(i * duration / flows, time_step) for i in range(flows)]
         assert steps == oracles.firing_steps_by_stepping(duration, flows, time_step)
 
+    @staticmethod
+    def record_moves(monkeypatch):
+        """The placements drawn and the times ``start`` is moved to."""
+        placed, moves = [], []
+        generate, moved = netsim.generate_nodes, netsim._moved
+        monkeypatch.setattr(netsim, "generate_nodes", lambda c: placed.append(c) or generate(c))
+        monkeypatch.setattr(
+            netsim, "_moved", lambda snap, t, *a: moves.append(t) or moved(snap, t, *a)
+        )
+        return placed, moves
+
     @pytest.mark.parametrize("protocols", [None, PROTOCOLS], ids=["simulate", "compare"])
     def test_moves_only_when_a_flow_fires(self, monkeypatch, protocols):
         # A compare cell is one walk: one placement and one move per firing
         # time, shared by all its protocols.
-        placed, calls = [], []
-        generate, real = netsim.generate_nodes, netsim.step_mobility
-        monkeypatch.setattr(netsim, "generate_nodes", lambda c: placed.append(c) or generate(c))
-        monkeypatch.setattr(
-            netsim, "step_mobility", lambda snap, dt, *a: calls.append(dt) or real(snap, dt, *a)
-        )
+        placed, moves = self.record_moves(monkeypatch)
         _campaign_csv(small_config(duration=60.0, flows=6), None, protocols)
         assert len(placed) == 1
-        assert calls == [10.0, 20.0, 30.0, 40.0, 50.0]
+        assert moves == [10.0, 20.0, 30.0, 40.0, 50.0]
+
+    @pytest.mark.parametrize(
+        "duration, flows, time_step, beacon_interval", [(7.5, 50, 0.5, 1.0), (10.0, 30, 0.4, 1.7)]
+    )
+    def test_moves_once_per_firing_time_or_tick(
+        self, monkeypatch, duration, flows, time_step, beacon_interval
+    ):
+        # Lagged beacons: a view is the start moved to its tick, and a tick
+        # that is also a firing time (or the start) is not moved to again.
+        config = small_config(duration=duration, flows=flows, time_step=time_step,
+                              beacon_interval=beacon_interval)
+        _, moves = self.record_moves(monkeypatch)
+        run_campaign(config, PROTOCOLS)
+        fired = {_firing_step(i * config.duration / config.flows, config.time_step)
+                 * config.time_step for i in range(config.flows)}
+        ticks = {netsim._beacon_tick(t, config.beacon_interval) for t in fired}
+        assert sorted(moves) == moves == sorted((fired | ticks) - {0.0})
+
+
+class TestMotionBits:
+    """The closed form of motion keeps the bits of the np.mod fold it
+    replaced, and a campaign's views agree with the stepping reference."""
+
+    @pytest.mark.parametrize("period", [2 * 400.0, 2 * 300.0, 2 * 2000.0, 2 * 1e300])
+    def test_fold_is_mod_bit_for_bit(self, period):
+        rng = np.random.default_rng(int(math.log2(period)))
+        u = np.concatenate([
+            rng.uniform(-40 * period, 40 * period, 20_000),
+            rng.uniform(-period, period, 20_000),
+            np.arange(-40, 41) * period,  # exact multiples, which fmod takes to -0.0
+            rng.uniform(-1.0, 1.0, 1_000) * 1e-310,  # subnormals
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, period / 2, -period / 2,
+             np.nextafter(period, 0.0), -np.nextafter(period, 0.0), 1e300, -1e300],
+        ])
+        got, want = netsim._fold(u.copy(), period), np.mod(u, period)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "width, nodes, digest",
+        [
+            (2000.0, 800, "c47cf8fdb7d03638b1110af47dbcb5ce1cbcc4e42399cd90088242d597102ba1"),
+            (2000.0, 8000, "34d8dd7625a15141ad229f1af535769306fba0568bf9b37d2cac951bc8781e43"),
+            (1e300, 800, "b7d06237cdd79e21eaf21056a142a2d2de7477f5e425e9606aa0d28b7018a3eb"),
+        ],
+        ids=["800", "8000", "1e300-field"],
+    )
+    def test_public_moves_keep_their_bits(self, width, nodes, digest):
+        # step_mobility and beacon_view (with a 0.3 s lag) move the snapshot
+        # they are given; the digest of their columns was recorded with the
+        # np.mod fold and per-call trig.
+        height = 0.75 * width
+        config = SimConfig(field_width=width, field_height=height, node_count=nodes,
+                           tx_range=width / 8, seed=5)
+        start = generate_nodes(config)
+        sha = hashlib.sha256()
+        for t in (0.5, 7.5, 123.25, 1e4):
+            moved = step_mobility(start, t, width, height)
+            for snap in (moved, beacon_view(moved, 0.3, 1.0, width, height)):
+                for column in (snap.x, snap.y, snap.heading):
+                    sha.update(column.astype("<f8").tobytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("beacon_interval", [1.7, 1.0])
+    def test_campaign_views_match_stepping(self, monkeypatch, beacon_interval):
+        width, height = 400.0, 300.0
+        config = small_config(field_width=width, field_height=height, node_count=40,
+                              speed_min=20.0, speed_max=40.0, duration=30.0, flows=40,
+                              time_step=0.4, beacon_interval=beacon_interval)
+        seen, fired = {}, set()
+        route = netsim.route
+
+        def spy(protocol, source, dest, snapshot, now, known, known_time, **kw):
+            assert (known is snapshot) == (known_time == now)  # no lag: the same snapshot
+            seen[now], seen[known_time] = snapshot, known
+            fired.add(now)
+            return route(protocol, source, dest, snapshot, now=now, known=known,
+                         known_time=known_time, **kw)
+
+        monkeypatch.setattr(netsim, "route", spy)
+        run_campaign(config)
+        start = generate_nodes(config)
+        rows = list(zip(start.x.tolist(), start.y.tolist(), start.speed.tolist(),
+                        start.heading.tolist()))
+        assert len(seen.keys() - fired) > 5  # ticks that are not firing times
+        for t, snap in seen.items():
+            want = [oracles.advance_by_stepping(*row, t, width, height) for row in rows]
+            wx, wy, _, wheading = (np.array(c) for c in zip(*want))
+            assert np.abs(snap.x - wx).max() <= 4 * np.spacing(2 * width)
+            assert np.abs(snap.y - wy).max() <= 4 * np.spacing(2 * height)
+            gaps = [heading_gap(a, b) for a, b in zip(snap.heading.tolist(), wheading)]
+            assert max(gaps) <= 4 * np.spacing(2 * math.pi)
 
 
 class TestBeaconView:

@@ -93,6 +93,25 @@ def prob_at_least_k(k: int, mean: float) -> float:
     return min(1.0, math.fsum(terms))
 
 
+def _at_least_column(mean: float, k_max: int):
+    """``prob_at_least_k(k, mean)`` for k = 1 .. ``k_max``, bit for bit.
+
+    Up to the mean the head is carried upward exactly, one pmf term per row,
+    instead of re-summed per row: every double is a whole multiple of
+    2**-1074, so the head is an integer in those units, and ``int / int``
+    rounds its value correctly, as ``math.fsum`` does.  Rows beyond the mean
+    take :func:`prob_at_least_k`'s tail.
+    """
+    head, unit = 0, 1 << 1074  # head: sum of pmf(n) for n < k, in units of 2**-1074
+    for k in range(1, k_max + 1):
+        if k > mean:
+            yield prob_at_least_k(k, mean)
+            continue
+        num, den = poisson_pmf(k - 1, mean).as_integer_ratio()  # den = 2**(bit_length - 1)
+        head += num << (1075 - den.bit_length())
+        yield max(0.0, 1.0 - head / unit)
+
+
 class MonteCarloEstimate(NamedTuple):
     estimate: float
     stderr: float
@@ -247,8 +266,7 @@ def analyze_csv(config: AnalyzeConfig) -> str:
             counts = region_counts(params, region, config.mc_trials, int(mc_seeds[i]))
             # at_least[k]: the trials holding at least k points
             at_least = np.cumsum(np.bincount(counts, minlength=config.k_max + 1)[::-1])[::-1]
-        for k in range(1, config.k_max + 1):
-            prob = prob_at_least_k(k, mean)
+        for k, prob in enumerate(_at_least_column(mean, config.k_max), start=1):
             row = [f"{density:.10g}", str(k), region.value, f"{prob:.10g}"]
             if with_mc:
                 est = _estimate(at_least[k], config.mc_trials)

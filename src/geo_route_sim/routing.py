@@ -27,7 +27,8 @@ PROTOCOLS = ("dir", "lar", "dlar")
 HALF_PI = math.pi / 2.0
 
 # Most entries in one reach matrix of the LAR flood (about 2 MB per float
-# temporary); a level's frontier is cut into blocks of rows to stay under it.
+# temporary); a level's frontier is cut into blocks of relays, each tested
+# against the unreached zone relays and the destination, to stay under it.
 _FLOOD_BLOCK_ENTRIES = 2**18
 
 
@@ -280,8 +281,10 @@ def lar_route_discovery(
     The flood goes one level per hop: within a level, relays rebroadcast in
     the order they were reached, each reaching its unreached neighbors in
     ascending id order, which makes the reported path deterministic.  A level
-    is computed in blocks of relays against all unreached rows at once,
-    which keeps that order.  The request zone covers the destination's
+    is computed in blocks of relays against the unreached zone relays and
+    the destination at once, which keeps that order: a vehicle outside the
+    zone never relays, so reaching it changes nothing unless it is the
+    destination.  The request zone covers the destination's
     expected zone ``ez``.  ``ttl`` (> 0) bounds the number of levels: a flood
     cut while zone relays still hold the request is a ``ttl_drop``.  There is
     no fallback to unrestricted flooding: an out-of-zone cut is reported as
@@ -293,11 +296,13 @@ def lar_route_discovery(
     if src == dst:
         return RouteResult(Outcome.DELIVERED, (source_id,))
     x, y = snapshot.x, snapshot.y
-    # The source always lies inside its own request zone, so it relays.
-    relays = in_request_zone(x, y, request_zone(Position(float(x[src]), float(y[src])), ez))
+    # The flood's columns: the zone relays and the destination.  The source
+    # always lies inside its own request zone, so it relays.
+    cand = in_request_zone(x, y, request_zone(Position(float(x[src]), float(y[src])), ez))
+    cand[dst] = True
+    cand[src] = False
+    unreached = np.flatnonzero(cand)
     parent = np.full(len(snapshot), -1)  # -1: not reached yet
-    parent[src] = src
-    unreached = np.flatnonzero(parent < 0)
     frontier = np.array([src])
     for _ in range(ttl):
         if not len(frontier):
@@ -321,7 +326,7 @@ def lar_route_discovery(
                     path.append(int(parent[path[-1]]))
                 return RouteResult(Outcome.DELIVERED, _ids(snapshot, path[::-1]))
             unreached = unreached[~hit]
-            level.append(new[relays[new]])
+            level.append(new)  # dst is not among them, so all are relays
             start = stop
         frontier = np.concatenate(level) if level else frontier[:0]
     outcome = Outcome.TTL_DROP if len(frontier) else Outcome.ZONE_UNREACHABLE

@@ -309,6 +309,9 @@ class TestFlagsAreKeys:
         (["analyze", "tx_range=1e200"], "tx_range"),
         (["analyze", "densities=1e300", "--mc-trials", "10"], "densities"),
         (["simulate", "protocol=lar", "density=0.00001", "flows=3", "ttl=1000000000000"], "ttl"),
+        (["analyze", "densities=1000", "tx_range=10", "k_max=4000"], "k_max"),
+        (["simulate", "protocol=lar", "field_width=5477", "field_height=5477", "density=0.001",
+          "flows=3"], "density"),
     ],
 )
 def test_extreme_configs_finish_or_name_the_key(capsys, argv, key):

@@ -293,6 +293,22 @@ class TestAnalyzeCsv:
             assert len(probs) == 10
             assert all(a >= b for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.parametrize("mean", [0.05, 19.6, 39.3, 1e3, 3e4, 3.1e5])
+    def test_carried_head_equals_prob_at_least_k(self, mean):
+        # The table carries each curve's head upward exactly and rounds it
+        # once per row, as the per-row fsum does, so every value keeps its
+        # bits, up to the mean and on the tail rows just past it.
+        top = math.floor(mean)
+        k_max = top + 3
+        column = list(feasibility._at_least_column(mean, k_max))
+        assert len(column) == k_max
+        if mean < 2000:
+            ks = range(1, k_max + 1)
+        else:  # a per-row re-sum costs O(k), so sample the rows at large means
+            ks = {1, 2, top // 2, top - math.isqrt(9 * top), top - 1, top, top + 1, k_max}
+        for k in sorted(ks):
+            assert column[k - 1].hex() == prob_at_least_k(k, mean).hex(), k
+
     def test_k_max_validated(self):
         with pytest.raises(ValueError, match="k_max"):
             AnalyzeConfig(k_max=0).validate()

@@ -5,8 +5,9 @@ these digests is a change of results and must be deliberate.  The runs take
 a few seconds together.  Besides small compare, D-LAR and analyze runs, they
 cover a compare run whose ttl of 5 cuts LAR floods short (its lar row counts
 ttl drops), a compare density sweep whose every cell draws its own walk,
-dense DIR and LAR campaigns of 4,000 vehicles, and DIR and D-LAR
-on a field of 1e300 m, where the greedy chooser's angle products overflow.
+dense DIR and LAR campaigns of 4,000 vehicles, LAR on a sparse field of
+about 30,000 vehicles whose floods run 14 hops, and DIR and D-LAR on a field
+of 1e300 m, where the greedy chooser's angle products overflow.
 Three analyze runs stress the streamed Monte Carlo draw: 30,000 trials, whose
 draws span about a hundred blocks, a density whose every trial holds more
 points than one block, and a density so sparse that most trials are empty.
@@ -28,6 +29,8 @@ COMPARE_SWEEP = ["compare", "--sweep", "density=0.0001:0.0003:3", "flows=20",
 SIMULATE_LAR = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=lar", "flows=20"]
 SIMULATE_DIR = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=dir",
                 "flows=100", "beacon_interval=3"]
+WIDE_LAR = ["simulate", "protocol=lar", "field_width=5477", "field_height=5477",
+            "density=0.001", "flows=3"]
 HUGE = ["simulate", "field_width=1e300", "field_height=1e300", "tx_range=2.5e299",
         "node_count=60", "flows=30"]
 HUGE_DIR, HUGE_DLAR = HUGE + ["protocol=dir"], HUGE + ["protocol=dlar"]
@@ -53,6 +56,7 @@ GOLDEN = [
     (COMPARE_SWEEP, 1, "7f2f9a955d3105acd451e70e324f2770115ec23e1013c8dcbc91ed05536938d2"),
     (SIMULATE_LAR, 1, "f8b77b22c72769e3738e7682b1bfc7e20e875823f7b1c5904990825940fb5f46"),
     (SIMULATE_DIR, 1, "9aaa1eac2480de4ba9adc5b8183f63b77daabf398d1d087a6edc5d6ea685c2ae"),
+    (WIDE_LAR, 1, "60a58e2edd96eb46d554cfe5b0a196844b76fff94a9086e9a8c88394a5938be4"),
     (HUGE_DIR, 1, "491d16114dbd998f2e77b1b81f652248a80882a89d8e96099395e9c352fa3d98"),
     (HUGE_DLAR, 1, "0ead0ad9e56b89c7f5f1d7a25258fe1c970fca6a91631626d2b10a97586516cc"),
 ]
@@ -61,7 +65,8 @@ SUFFIX = {
     id(MC): "-mc", id(MC_BENCH): "-mc30000", id(MC_DENSE): "-mc-dense",
     id(MC_SPARSE): "-mc-sparse", id(COMPARE_TTL): "-ttl5",
     id(COMPARE_SWEEP): "-sweep", id(SIMULATE_LAR): "-lar4000",
-    id(SIMULATE_DIR): "-dir4000", id(HUGE_DIR): "-dir1e300", id(HUGE_DLAR): "-dlar1e300",
+    id(SIMULATE_DIR): "-dir4000", id(WIDE_LAR): "-lar-wide", id(HUGE_DIR): "-dir1e300",
+    id(HUGE_DLAR): "-dlar1e300",
 }
 IDS = [f"{argv[0]}{SUFFIX.get(id(argv), '')}-seed{seed}" for argv, seed, _ in GOLDEN]
 

@@ -18,7 +18,7 @@ from geo_route_sim.routing import (
     neighbors,
     route,
 )
-from geo_route_sim.zones import expected_zone, request_zone
+from geo_route_sim.zones import ExpectedZone, expected_zone, in_request_zone, request_zone
 from oracles import make_snapshot, position
 
 
@@ -314,6 +314,57 @@ class TestLarRouteDiscovery:
         assert all(rows * cols <= cap for rows, cols in shapes if rows > 1)
         # Some level was wide enough to be cut into near-full blocks.
         assert max(rows * cols for rows, cols in shapes) > cap // 2
+
+    def test_flood_tests_only_zone_relays_and_the_destination(self, monkeypatch):
+        snap = generate_nodes(SimConfig(field_width=2000, field_height=2000, node_count=4000))
+        tested = []
+        within = routing._within
+
+        def spy(snapshot, rows, cols):
+            tested.append(np.asarray(cols))
+            return within(snapshot, rows, cols)
+
+        monkeypatch.setattr(routing, "_within", spy)
+        src = int(np.argmin(np.hypot(snap.x - 1000, snap.y - 1000)))
+        dst = int(np.argmin(np.hypot(snap.x - 1400, snap.y - 1300)))
+        # A stale expected zone 150 m short of the destination on both axes:
+        # the zone is small, and the destination lies outside it.
+        ez = ExpectedZone(Position(snap.x[dst] - 150, snap.y[dst] - 150), 0.0)
+        zone = in_request_zone(snap.x, snap.y, request_zone(position(snap, src), ez))
+        assert not zone[dst] and zone.sum() < len(snap) // 20
+        result = lar_route_discovery(src, dst, snap, ez, DEFAULT_TTL)
+        assert result.outcome is Outcome.DELIVERED
+        assert result == oracles.lar_flood_by_relay(src, dst, snap, ez, DEFAULT_TTL)
+        cols = np.concatenate(tested)
+        assert dst in cols
+        assert (zone[cols] | (cols == dst)).all()
+
+    def test_out_of_zone_crowd_changes_nothing(self):
+        # Vehicles just outside the zone, between its relays and an
+        # out-of-zone destination, are never relays; leaving them out of the
+        # flood must claim and report exactly as the per-relay flood does.
+        rng = random.Random(2718)
+        outcomes = set()
+        for _ in range(40):
+            tx, side, r = rng.uniform(80, 200), rng.uniform(200, 600), rng.uniform(0, 50)
+            # The source at the origin and this zone give the request zone
+            # [0, side] x [0, side].
+            ez = ExpectedZone(Position(side - r, side - r), r)
+            relays = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(rng.randint(5, 60))]
+            dest = (side + rng.uniform(1e-3, 1.5 * tx), rng.uniform(0, side))
+            crowd = [
+                (rng.uniform(side + 1e-3, dest[0] + tx), rng.uniform(-tx, side + tx))
+                for _ in range(rng.randint(20, 120))
+            ]
+            points = [(0.0, 0.0), dest, *relays, *crowd]
+            rng.shuffle(points)  # interleave relay and crowd ids
+            snap = make_snapshot(points, tx)
+            src, dst = points.index((0.0, 0.0)), points.index(dest)
+            for ttl in (1, 2, 3, 4, 5, 6, 64):
+                result = lar_route_discovery(src, dst, snap, ez, ttl)
+                assert result == oracles.lar_flood_by_relay(src, dst, snap, ez, ttl)
+                outcomes.add(result.outcome)
+        assert outcomes == {Outcome.DELIVERED, Outcome.TTL_DROP, Outcome.ZONE_UNREACHABLE}
 
     def test_unknown_ids(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)

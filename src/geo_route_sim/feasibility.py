@@ -39,10 +39,9 @@ class FeasibilityParams:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if not self.density > 0:
-            raise ValueError(f"density must be > 0, got {self.density!r}")
-        if not self.tx_range > 0:
-            raise ValueError(f"tx_range must be > 0, got {self.tx_range!r}")
+        for name, value in (("density", self.density), ("tx_range", self.tx_range)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k!r}")
 
@@ -61,8 +60,8 @@ def poisson_pmf(n: int, mean: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean!r}")
+    if not 0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
     if n == 0:
@@ -80,8 +79,8 @@ def prob_at_least_k(k: int, mean: float) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean!r}")
+    if not 0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
     if k <= mean:
         tail = 1.0 - math.fsum(poisson_pmf(n, mean) for n in range(k))
         return min(1.0, max(0.0, tail))

@@ -26,7 +26,7 @@ from .routing import (
     route,
 )
 
-# Largest campaign accepted, in vehicles; each takes 40 B per snapshot.
+# Largest campaign accepted, in vehicles; each takes 32 B (four floats) per snapshot.
 MAX_NODES = 1_000_000
 # Most flows per campaign.  100,000 D-LAR flows take ~9 s between two vehicles,
 # but one takes ~0.4 s among MAX_NODES, so this cap alone does not bound the work.
@@ -162,9 +162,7 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
     speeds = motion_rng.uniform(config.speed_min, config.speed_max, size=count)
     # Headings are wrapped twice, the sequence seeded campaigns have always
     # used, so their output stays byte-identical.
-    return NetworkSnapshot(
-        config.tx_range, np.arange(count), xs, ys, speeds, wrap_angle(wrap_angle(headings))
-    )
+    return NetworkSnapshot(config.tx_range, xs, ys, speeds, wrap_angle(wrap_angle(headings)))
 
 
 def _fold(u: np.ndarray, period: float) -> np.ndarray:
@@ -197,7 +195,7 @@ def _moved(
     np.subtract(2.0 * width, ux, out=ux, where=flip_x)
     np.subtract(2.0 * height, uy, out=uy, where=flip_y)
     heading = math.pi - _fold(math.pi - heading, TWO_PI)  # wrap_angle, by the faster fold
-    return NetworkSnapshot(start.transmission_range, start.ids, ux, uy, speed, heading)
+    return NetworkSnapshot(start.transmission_range, ux, uy, speed, heading)
 
 
 def _trig(snapshot: NetworkSnapshot) -> tuple[np.ndarray, np.ndarray]:
@@ -289,14 +287,13 @@ def run_campaign(
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     start = generate_nodes(config)  # validates the config first
     _, _, flow_rng = _rng_streams(config.seed)
-    ids = start.ids.tolist()
     width, height = config.field_width, config.field_height
 
     trig = _trig(start)
     built = {0.0: start}  # the snapshots of the current firing time and tick
     results: list[list[RouteResult]] = [[] for _ in protocols]
     step = None
-    for i in range(config.flows if len(ids) >= 2 else 0):
+    for i in range(config.flows if len(start) >= 2 else 0):
         fired = _firing_step(i * config.duration / config.flows, config.time_step)
         if fired != step:
             step, sim_time = fired, fired * config.time_step
@@ -304,12 +301,12 @@ def run_campaign(
             built = {t: built[t] if t in built else _moved(start, t, width, height, *trig)
                      for t in sorted({tick, sim_time})}
             snapshot, view = built[sim_time], built[tick]
-        si = int(flow_rng.integers(len(ids)))
-        di = int(flow_rng.integers(len(ids) - 1))
+        si = int(flow_rng.integers(len(start)))
+        di = int(flow_rng.integers(len(start) - 1))
         if di >= si:
             di += 1
         for protocol, routed in zip(protocols, results):
-            routed.append(route(protocol, ids[si], ids[di], snapshot, now=sim_time,
+            routed.append(route(protocol, si, di, snapshot, now=sim_time,
                                 ttl=config.ttl, known=view, known_time=tick))
     return [_metrics(routed, config.per_hop_latency_ms) for routed in results]
 

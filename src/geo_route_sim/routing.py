@@ -6,8 +6,7 @@ reachability and the delivery check always follow the snapshot's true
 positions, while the angle metric and zone membership of candidates may use
 the stale positions a forwarder would actually know from beacons.
 
-Inside this module a vehicle is its row in the snapshot's columns; ids
-appear only at the public functions.
+A vehicle's id is its row in the snapshot's columns.
 """
 
 import math
@@ -35,44 +34,35 @@ _FLOOD_BLOCK_ENTRIES = 2**18
 class NetworkSnapshot:
     """An immutable view of all vehicles sharing one transmission range.
 
-    Motion state lives in read-only numpy columns ``ids``, ``x``, ``y``,
-    ``speed`` and ``heading``; vehicle ``ids[i]`` sits at row ``i``.  Ids
-    are integers in strictly ascending order, positions and headings are
-    finite, and speeds are finite and >= 0.  Columns that already are numpy
-    arrays of the right type are used without a copy and made read-only.
+    Motion state lives in read-only 1-D numpy columns ``x``, ``y``, ``speed``
+    and ``heading`` of one length; vehicle ``i`` is row ``i``.  Positions and
+    headings are finite, speeds finite and >= 0.  Numpy columns of the right
+    type are used without a copy and made read-only.
     """
 
-    def __init__(self, transmission_range: float, ids, x, y, speed, heading):
+    def __init__(self, transmission_range: float, x, y, speed, heading):
         if not transmission_range > 0:
             raise ValueError(f"transmission_range must be > 0, got {transmission_range!r}")
-        ids = np.asarray(ids)
-        if ids.size == 0:
-            ids = ids.astype(np.int64)  # an empty list comes out as float64
-        if ids.ndim != 1 or ids.dtype.kind not in "iu":
-            raise ValueError(f"ids must be 1-D integers, got {ids.dtype} of shape {ids.shape}")
         x, y, speed, heading = (np.asarray(c, dtype=float) for c in (x, y, speed, heading))
-        if not x.shape == y.shape == speed.shape == heading.shape == ids.shape:
-            raise ValueError("x, y, speed and heading must each hold one value per id")
-        if not (ids[1:] > ids[:-1]).all():
-            raise ValueError("ids must be in strictly ascending order")
+        if not x.ndim == 1 or not x.shape == y.shape == speed.shape == heading.shape:
+            raise ValueError("x, y, speed and heading must be 1-D columns of one length")
         if not np.isfinite((x, y, heading)).all():
             raise ValueError("x, y and heading must be finite")
         if not ((0.0 <= speed) & (speed < math.inf)).all():
             raise ValueError("speed must be finite and >= 0")
-        for column in (ids, x, y, speed, heading):
+        for column in (x, y, speed, heading):
             column.flags.writeable = False
         self.transmission_range = float(transmission_range)
-        self.ids, self.x, self.y, self.speed, self.heading = ids, x, y, speed, heading
+        self.x, self.y, self.speed, self.heading = x, y, speed, heading
 
     def row(self, v_id: int) -> int:
-        """Column index of vehicle ``v_id``."""
-        i = int(np.searchsorted(self.ids, v_id))
-        if i == len(self.ids) or self.ids[i] != v_id:
-            raise KeyError(f"unknown vehicle id {v_id}")
-        return i
+        """Row of vehicle ``v_id``: the id itself, checked to be a whole number in [0, len)."""
+        if not (0 <= v_id < len(self.x) and v_id % 1 == 0):
+            raise KeyError(f"unknown vehicle id {v_id!r}")
+        return int(v_id)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.x)
 
     def __repr__(self) -> str:
         reach = self.transmission_range
@@ -99,10 +89,6 @@ class RouteResult:
     @property
     def hop_count(self) -> int:
         return len(self.path) - 1
-
-
-def _ids(snapshot: NetworkSnapshot, rows) -> tuple[int, ...]:
-    return tuple(snapshot.ids[rows].tolist())
 
 
 def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
@@ -157,30 +143,29 @@ def neighbors(v_id: int, snapshot: NetworkSnapshot) -> list[int]:
     """Ids of the vehicles within transmission range of ``v_id``, boundary
     inclusive, in ascending order so that downstream selections are
     deterministic."""
-    return snapshot.ids[_in_range(snapshot, snapshot.row(v_id))].tolist()
+    return np.flatnonzero(_in_range(snapshot, snapshot.row(v_id))).tolist()
 
 
 def _known_view(known: Optional[NetworkSnapshot], snapshot: NetworkSnapshot) -> NetworkSnapshot:
     """``known`` checked to hold ``snapshot``'s vehicles, or ``snapshot`` when None."""
     if known is None:
         return snapshot
-    if known.ids is not snapshot.ids and not np.array_equal(known.ids, snapshot.ids):
-        raise ValueError("known must hold the same vehicle ids as the snapshot")
+    if len(known) != len(snapshot):
+        raise ValueError(f"known must hold {len(snapshot)} vehicles, got {len(known)}")
     return known
 
 
-def _greedy_next_hop(
-    snapshot, known, row, here, heading, dest, exclude, zone=None
-) -> Optional[int]:
-    """The compass choice shared by DIR and D-LAR, over snapshot rows.
+def _greedy_next_hop(snapshot, known, row, dest, exclude, ez=None) -> Optional[int]:
+    """The compass choice shared by DIR and D-LAR: the row of forwarder
+    ``row``'s next hop toward position ``dest``, or None.
 
-    ``row`` is the forwarder, at true position ``here`` with ``heading``.
-    Candidates are its neighbors outside the ``exclude`` rows; a candidate
-    whose ``known`` position coincides with ``here`` has no direction and is
-    skipped.  With a request ``zone`` (D-LAR), candidates must lie inside it,
-    and those heading within pi/2 of the forwarder are preferred when there
-    are any.  The winner, a row, minimises (deviation angle toward ``dest``,
-    distance to ``dest``, row); rows are in id order.
+    Candidates are the forwarder's neighbors outside ``exclude`` (entries
+    naming no vehicle exclude nothing), except where their ``known``
+    position is the forwarder's true one, which gives no direction.  With an
+    expected zone ``ez`` (D-LAR), candidates must lie inside the request
+    zone anchored at the forwarder, and those heading within pi/2 of it are
+    preferred when there are any.  The winner minimises (deviation angle
+    toward ``dest``, distance to ``dest``, row).
 
     The pool's angles are computed as arrays from the products
     :func:`deviation_angle` forms; numpy's ``arctan2`` may differ from
@@ -188,14 +173,18 @@ def _greedy_next_hop(
     (plus 2**-1000) of the least angle are settled by the exact scalar key.
     A product that overflows makes the cut NaN, which keeps every candidate.
     """
+    here = Position(float(snapshot.x[row]), float(snapshot.y[row]))
+    if dest == here:
+        raise ValueError("destination position coincides with the forwarder")
     inside = _in_range(snapshot, row)
-    inside[exclude] = False
+    inside[[int(v) for v in exclude if 0 <= v < len(inside) and v % 1 == 0]] = False
     rows = np.flatnonzero(inside)
     x, y = known.x[rows], known.y[rows]
     keep = (x != here.x) | (y != here.y)
-    if zone is not None:
-        keep &= in_request_zone(x, y, zone)
-        aligned = keep & (np.abs(wrap_angle(snapshot.heading[rows] - heading)) <= HALF_PI)
+    if ez is not None:
+        keep &= in_request_zone(x, y, request_zone(here, ez))
+        turn = snapshot.heading[rows] - snapshot.heading[row]
+        aligned = keep & (np.abs(wrap_angle(turn)) <= HALF_PI)
         keep = aligned if aligned.any() else keep
     x, y, rows = x[keep], y[keep], rows[keep]
     if not len(rows):
@@ -208,24 +197,6 @@ def _greedy_next_hop(
     pool = [(Position(px, py), r) for px, py, r in zip(*columns)]
     best = min(pool, key=lambda c: (deviation_angle(here, c[0], dest), distance(c[0], dest), c[1]))
     return best[1]
-
-
-def _next_hop(v_id, dest, snapshot, exclude, known, ez=None) -> Optional[int]:
-    """:func:`_greedy_next_hop` behind the public seams: the forwarder is
-    named by id and read from its snapshot row, and the choice is an id.
-    With an expected zone ``ez``, the request zone is anchored at the
-    forwarder (D-LAR)."""
-    row = snapshot.row(v_id)
-    here = Position(float(snapshot.x[row]), float(snapshot.y[row]))
-    if dest == here:
-        raise ValueError("destination position coincides with the forwarder")
-    zone = None if ez is None else request_zone(here, ez)
-    excluded = np.flatnonzero(np.isin(snapshot.ids, list(exclude)))
-    best = _greedy_next_hop(
-        snapshot, _known_view(known, snapshot), row, here,
-        float(snapshot.heading[row]), dest, excluded, zone,
-    )
-    return None if best is None else int(snapshot.ids[best])
 
 
 def dir_next_hop(
@@ -243,7 +214,9 @@ def dir_next_hop(
     (default: ``snapshot``).  Ties break toward the smaller distance to the
     destination, then the smaller id.  Returns None when no candidate exists.
     """
-    return _next_hop(v_id, dest_pos, snapshot, exclude, known)
+    return _greedy_next_hop(
+        snapshot, _known_view(known, snapshot), snapshot.row(v_id), dest_pos, exclude
+    )
 
 
 def dlar_next_hop(
@@ -263,7 +236,9 @@ def dlar_next_hop(
     zone candidate when none is aligned.  Ties break as in
     :func:`dir_next_hop`.
     """
-    return _next_hop(v_id, ez.center, snapshot, exclude, known, ez)
+    return _greedy_next_hop(
+        snapshot, _known_view(known, snapshot), snapshot.row(v_id), ez.center, exclude, ez
+    )
 
 
 def lar_route_discovery(
@@ -294,7 +269,7 @@ def lar_route_discovery(
         raise ValueError(f"ttl must be > 0, got {ttl!r}")
     src, dst = snapshot.row(source_id), snapshot.row(dest_id)
     if src == dst:
-        return RouteResult(Outcome.DELIVERED, (source_id,))
+        return RouteResult(Outcome.DELIVERED, (src,))
     x, y = snapshot.x, snapshot.y
     # The flood's columns: the zone relays and the destination.  The source
     # always lies inside its own request zone, so it relays.
@@ -324,13 +299,13 @@ def lar_route_discovery(
                 path = [dst]
                 while path[-1] != src:
                     path.append(int(parent[path[-1]]))
-                return RouteResult(Outcome.DELIVERED, _ids(snapshot, path[::-1]))
+                return RouteResult(Outcome.DELIVERED, tuple(path[::-1]))
             unreached = unreached[~hit]
             level.append(new)  # dst is not among them, so all are relays
             start = stop
         frontier = np.concatenate(level) if level else frontier[:0]
     outcome = Outcome.TTL_DROP if len(frontier) else Outcome.ZONE_UNREACHABLE
-    return RouteResult(outcome, (source_id,))
+    return RouteResult(outcome, (src,))
 
 
 def route(
@@ -363,12 +338,12 @@ def route(
     if known_time is not None and known_time > now:
         raise ValueError(f"known_time must be <= now, got {known_time!r} > {now!r}")
     known = _known_view(known, snapshot)
-    if src == dst:
-        return RouteResult(Outcome.DELIVERED, (source_id,))
     x, y = snapshot.x, snapshot.y
     dest_last = Position(float(known.x[dst]), float(known.y[dst]))
     t0 = now if known_time is None else known_time
     ez = expected_zone(dest_last, float(snapshot.speed[dst]), t0, now)
+    if src == dst:
+        return RouteResult(Outcome.DELIVERED, (src,))
     if protocol == "lar":
         return lar_route_discovery(source_id, dest_id, snapshot, ez, ttl)
     dest = Position(float(x[dst]), float(y[dst]))
@@ -378,16 +353,16 @@ def route(
         here = Position(float(x[row]), float(y[row]))
         # len(path) - 1 hops are spent; the direct final hop needs budget too.
         if len(path) - 1 == ttl:
-            return RouteResult(Outcome.TTL_DROP, _ids(snapshot, path))
+            return RouteResult(Outcome.TTL_DROP, tuple(path))
         if distance(here, dest) <= snapshot.transmission_range:
-            return RouteResult(Outcome.DELIVERED, _ids(snapshot, path + [dst]))
+            return RouteResult(Outcome.DELIVERED, (*path, dst))
         if dest_last == here:
             # Stale knowledge led exactly onto the destination's old spot;
             # there is no direction left to steer by.
-            return RouteResult(Outcome.VOID_DROP, _ids(snapshot, path))
-        zone = request_zone(here, ez) if protocol == "dlar" else None
-        heading = float(snapshot.heading[row])
-        nxt = _greedy_next_hop(snapshot, known, row, here, heading, dest_last, path, zone)
+            return RouteResult(Outcome.VOID_DROP, tuple(path))
+        nxt = _greedy_next_hop(
+            snapshot, known, row, dest_last, path, ez if protocol == "dlar" else None
+        )
         if nxt is None:
-            return RouteResult(Outcome.VOID_DROP, _ids(snapshot, path))
+            return RouteResult(Outcome.VOID_DROP, tuple(path))
         path.append(nxt)

@@ -6,6 +6,7 @@ rectangle covering that disk plus the node anchoring the discovery.  Zone
 membership gates both LAR flooding and D-LAR candidate filtering.
 """
 
+import math
 from dataclasses import dataclass
 
 from .geometry import Position
@@ -19,7 +20,7 @@ class ExpectedZone:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError(f"expected-zone radius must be >= 0, got {self.radius!r}")
 
 
@@ -41,9 +42,12 @@ def expected_zone(dest_pos_t0: Position, dest_speed: float, t0: float, t1: float
     ``t0`` is when the destination's position was recorded, ``t1`` the time
     the zone is evaluated for.
     """
+    for name, t in (("t0", t0), ("t1", t1)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t!r}")
     if t1 < t0:
         raise ValueError(f"t1 must be >= t0, got t0={t0!r}, t1={t1!r}")
-    if dest_speed < 0:
+    if not dest_speed >= 0:
         raise ValueError(f"dest_speed must be >= 0, got {dest_speed!r}")
     return ExpectedZone(dest_pos_t0, dest_speed * (t1 - t0))
 

@@ -24,17 +24,17 @@ def make_snapshot(points, tx, headings=None, speeds=None) -> NetworkSnapshot:
     ``speeds`` map an id to its value, which defaults to 0."""
     headings = headings or {}
     speeds = speeds or {}
-    ids = np.arange(len(points))
+    ids = range(len(points))
     x = np.array([float(p[0]) for p in points])
     y = np.array([float(p[1]) for p in points])
-    speed = np.array([float(speeds.get(i, 0.0)) for i in ids.tolist()])
-    heading = np.array([float(headings.get(i, 0.0)) for i in ids.tolist()])
-    return NetworkSnapshot(tx, ids, x, y, speed, heading)
+    speed = np.array([float(speeds.get(i, 0.0)) for i in ids])
+    heading = np.array([float(headings.get(i, 0.0)) for i in ids])
+    return NetworkSnapshot(tx, x, y, speed, heading)
 
 
 def coordinates(snapshot: NetworkSnapshot) -> dict[int, tuple[float, float]]:
     """Every vehicle's (x, y) by id, in ascending id order."""
-    return dict(zip(snapshot.ids.tolist(), zip(snapshot.x.tolist(), snapshot.y.tolist())))
+    return dict(enumerate(zip(snapshot.x.tolist(), snapshot.y.tolist())))
 
 
 def position(snapshot: NetworkSnapshot, v_id: int) -> Position:
@@ -42,8 +42,10 @@ def position(snapshot: NetworkSnapshot, v_id: int) -> Position:
 
 
 def snapshot_digest(snapshot: NetworkSnapshot) -> str:
-    """Stable digest of a snapshot, for asserting identical placements."""
-    columns = (snapshot.ids, snapshot.x, snapshot.y, snapshot.speed, snapshot.heading)
+    """Stable digest of a snapshot, for asserting identical placements.
+    Each vehicle's tuple leads with its id (its row), which keeps the
+    recorded digests' payload byte for byte."""
+    columns = (np.arange(len(snapshot)), snapshot.x, snapshot.y, snapshot.speed, snapshot.heading)
     payload = repr((snapshot.transmission_range, tuple(zip(*(c.tolist() for c in columns)))))
     return hashlib.blake2s(payload.encode()).hexdigest()
 
@@ -131,10 +133,13 @@ def argmin_next_hop(snapshot, v_id, target_x, target_y, candidate_ids):
 def greedy_by_scalar_min(snapshot, known, row, here, heading, dest, exclude, zone=None):
     """The greedy chooser ranked wholly by the scalar key: every candidate's
     ``(deviation_angle, distance, row)`` through one Python ``min``, with the
-    same arguments and candidate filters as ``routing._greedy_next_hop``.
-    Unlike the acos oracle above it shares the package's exact key, so it
-    pins the chooser's tie-breaking bit for bit."""
-    inside = np.isin(snapshot.ids, neighbors(int(snapshot.ids[row]), snapshot))
+    candidate filters of ``routing._greedy_next_hop``.  The forwarder's
+    position ``here``, its ``heading`` and the request ``zone`` (D-LAR;
+    None for DIR) are given explicitly rather than derived from ``row``, and
+    ``exclude`` holds rows only.  Unlike the acos oracle above it shares the
+    package's exact key, so it pins the chooser's tie-breaking bit for bit."""
+    inside = np.zeros(len(snapshot), dtype=bool)
+    inside[neighbors(row, snapshot)] = True
     inside[exclude] = False
     rows = np.flatnonzero(inside)
     x, y = known.x[rows], known.y[rows]
@@ -163,7 +168,7 @@ def dlar_candidates(snapshot, v_id, ez, exclude) -> set[int]:
     vx, vy = at[v_id]
     rect = rect_from(vx, vy, ez.center.x, ez.center.y, ez.radius)
     zone = {uid for uid in dir_candidates(snapshot, v_id, exclude) if rect_contains(rect, *at[uid])}
-    headings = dict(zip(snapshot.ids.tolist(), snapshot.heading.tolist()))
+    headings = dict(enumerate(snapshot.heading.tolist()))
     aligned = {uid for uid in zone if heading_gap(headings[uid], headings[v_id]) <= math.pi / 2}
     return aligned if aligned else zone
 
@@ -244,7 +249,7 @@ def random_snapshot(rng: random.Random, n=None, size=1000.0, tx=None) -> Network
         for _ in range(n)
     ]
     x, y, speed, heading = np.array(motion, dtype=float).reshape(-1, 4).T.copy()
-    return NetworkSnapshot(tx, np.arange(n), x, y, speed, heading)
+    return NetworkSnapshot(tx, x, y, speed, heading)
 
 
 def advance_by_stepping(x, y, speed, heading, dt, width, height):

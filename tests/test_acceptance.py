@@ -112,7 +112,7 @@ def test_criterion_4_greedy_selection_matches_exhaustive_argmin():
             snap = oracles.random_snapshot(
                 rng, n=rng.randint(2, 200), tx=rng.uniform(60, 320)
             )
-            ids = snap.ids.tolist()
+            ids = range(len(snap))
             current = rng.choice(ids)
             target = Position(rng.uniform(0, 1000), rng.uniform(0, 1000))
             if target == position(snap, current):
@@ -136,8 +136,7 @@ def test_criterion_5_lar_discovery_equals_zone_bfs():
         mismatches = 0
         for _ in range(500):
             snap = oracles.random_snapshot(rng, n=100, tx=rng.uniform(80, 220))
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             dest_speed = rng.uniform(0, 25)
             now = rng.uniform(0, 10)
             last = position(snap, dst)
@@ -258,8 +257,7 @@ def test_criterion_9_flooding_dominates_in_dense_regime():
         rng = random.Random(99_000)
         for _ in range(300):
             snap = oracles.random_snapshot(rng)
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             dest_speed = rng.uniform(0, 20)
             ez = expected_zone(position(snap, dst), dest_speed, 0.0, rng.uniform(0, 5))
             assert oracles.dlar_candidates(snap, src, ez, [src]) <= oracles.dir_candidates(

@@ -69,6 +69,11 @@ class TestMeanNodeCount:
             FeasibilityParams(0.1, -3.0)
         with pytest.raises(ValueError):
             FeasibilityParams(0.1, 250.0, k=-1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="density"):
+                FeasibilityParams(bad, 250.0)
+            with pytest.raises(ValueError, match="tx_range"):
+                FeasibilityParams(0.1, bad)
 
 
 class TestPoissonPmf:
@@ -99,6 +104,9 @@ class TestPoissonPmf:
             poisson_pmf(-1, 1.0)
         with pytest.raises(ValueError):
             poisson_pmf(1, -0.5)
+        for mean in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="mean"):
+                poisson_pmf(3, mean)
 
 
 class TestProbAtLeastK:
@@ -108,6 +116,11 @@ class TestProbAtLeastK:
 
     def test_empty_region_has_no_nodes(self):
         assert prob_at_least_k(1, 0.0) == 0.0
+
+    @pytest.mark.parametrize("mean", [-0.5, math.inf, math.nan])
+    def test_mean_outside_zero_to_infinity_rejected(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            prob_at_least_k(5, mean)
 
     @pytest.mark.parametrize("mean", [0.5, 2.0, 10.0])
     def test_closed_form_k_one(self, mean):

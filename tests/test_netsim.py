@@ -44,7 +44,6 @@ class TestGenerateNodes:
     def test_single_node(self):
         snap = generate_nodes(small_config(node_count=1))
         assert len(snap) == 1
-        assert snap.ids.tolist() == [0]
 
     def test_same_seed_same_snapshot(self):
         config = small_config(seed=77)
@@ -104,11 +103,10 @@ class TestStepMobility:
     def test_counts_speeds_preserved_and_positions_in_field(self):
         config = small_config(node_count=150, speed_min=5.0, speed_max=40.0)
         snap = generate_nodes(config)
-        ids, speeds = snap.ids.tolist(), snap.speed.tolist()
+        speeds = snap.speed.tolist()
         for _ in range(30):
             snap = step_mobility(snap, 7.0, config.field_width, config.field_height)
             assert len(snap) == 150
-            assert snap.ids.tolist() == ids
             assert snap.speed.tolist() == speeds
             for x, y in zip(snap.x, snap.y):
                 assert 0.0 <= x <= config.field_width
@@ -150,7 +148,7 @@ def random_movers(rng, n, width, height, speed_max):
 
 def movers_snapshot(movers) -> NetworkSnapshot:
     x, y, speed, heading = zip(*movers)
-    return NetworkSnapshot(100, list(range(len(movers))), x, y, speed, heading)
+    return NetworkSnapshot(100, x, y, speed, heading)
 
 
 class TestClosedFormMotion:

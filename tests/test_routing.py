@@ -33,14 +33,16 @@ class TestNeighbors:
         assert neighbors(1, snap) == [0]
 
     def test_unknown_id(self):
+        # A vehicle id is its row, so -1 must not wrap to the last one.
         snap = make_snapshot([(0, 0)], 100)
-        with pytest.raises(KeyError):
-            neighbors(99, snap)
+        for v_id in (99, -1, len(snap), 1.5):
+            with pytest.raises(KeyError):
+                neighbors(v_id, snap)
 
     def test_matches_pairwise_filter_on_random_field(self):
         rng = random.Random(50)
         snap = oracles.random_snapshot(rng, n=50, tx=100.0)
-        for vid in snap.ids.tolist():
+        for vid in range(len(snap)):
             got = set(neighbors(vid, snap))
             assert got == oracles.neighbor_ids(snap, vid)
 
@@ -135,6 +137,15 @@ class TestDirNextHop:
     def test_excludes_visited(self):
         snap = make_snapshot([(0, 0), (20, 0), (40, 0)], 100)
         assert dir_next_hop(0, Position(100, 0), snap, exclude={2}) == 1
+        # Ids outside the snapshot exclude nothing; -1 must not wrap to 2.
+        assert dir_next_hop(0, Position(100, 0), snap, exclude=[-1, len(snap), 2.5]) == 2
+        assert dir_next_hop(0, Position(100, 0), snap, exclude=[np.int64(2)]) == 1
+
+    def test_known_view_of_other_vehicles_rejected(self):
+        snap = make_snapshot([(0, 0), (20, 0), (40, 0)], 100)
+        known = make_snapshot([(0, 0), (20, 0)], 100)
+        with pytest.raises(ValueError, match="known"):
+            dir_next_hop(0, Position(100, 0), snap, known=known)
 
     def test_coincident_destination_raises(self):
         snap = make_snapshot([(0, 0), (20, 0)], 100)
@@ -184,12 +195,16 @@ class TestGreedyNextHop:
             )
             exclude = [row] + rng.sample(range(n), rng.randint(0, n // 4))
             for zoned in (False, True):
-                zone = None
+                ez = zone = None
                 if zoned:
                     speed = rng.choice([0.0, 1.0, 4.0]) * scale
-                    zone = request_zone(here, expected_zone(dest, speed, 0.0, 1.0))
-                args = (snap, known, row, here, headings[row], dest, exclude, zone)
-                assert routing._greedy_next_hop(*args) == oracles.greedy_by_scalar_min(*args)
+                    ez = expected_zone(dest, speed, 0.0, 1.0)
+                    zone = request_zone(here, ez)
+                got = routing._greedy_next_hop(snap, known, row, dest, exclude, ez)
+                want = oracles.greedy_by_scalar_min(
+                    snap, known, row, here, headings[row], dest, exclude, zone
+                )
+                assert got == want
 
 
 class TestDlarNextHop:
@@ -228,8 +243,7 @@ class TestDlarNextHop:
         rng = random.Random(99)
         for _ in range(200):
             snap = oracles.random_snapshot(rng)
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             dest_speed = rng.uniform(0, 20)
             ez = expected_zone(position(snap, dst), dest_speed, 0.0, rng.uniform(0, 5))
             dlar_set = oracles.dlar_candidates(snap, src, ez, [src])
@@ -260,8 +274,7 @@ class TestLarRouteDiscovery:
         rng = random.Random(7321)
         for _ in range(100):
             snap = oracles.random_snapshot(rng, n=100, tx=rng.uniform(80, 200))
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             dest_speed = rng.uniform(0, 20)
             t0, now = 0.0, rng.uniform(0, 10)
             last = position(snap, dst)
@@ -285,7 +298,7 @@ class TestLarRouteDiscovery:
         outcomes = set()
         for _ in range(40):
             snap = oracles.random_snapshot(rng, n=rng.randint(20, 150), tx=rng.uniform(80, 250))
-            src, dst = rng.sample(snap.ids.tolist(), 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             last = position(snap, dst)
             dest_speed, now = rng.uniform(0, 20), rng.uniform(0, 10)
             ez = expected_zone(last, dest_speed, 0.0, now)
@@ -369,10 +382,11 @@ class TestLarRouteDiscovery:
     def test_unknown_ids(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)
         ez = expected_zone(Position(0, 0), 0.0, 0.0, 0.0)
-        with pytest.raises(KeyError):
-            lar_route_discovery(5, 1, snap, ez, DEFAULT_TTL)
-        with pytest.raises(KeyError):
-            lar_route_discovery(0, 9, snap, ez, DEFAULT_TTL)
+        for unknown in (5, -1, len(snap), 1.5):
+            with pytest.raises(KeyError):
+                lar_route_discovery(unknown, 1, snap, ez, DEFAULT_TTL)
+            with pytest.raises(KeyError):
+                lar_route_discovery(0, unknown, snap, ez, DEFAULT_TTL)
 
     @pytest.mark.parametrize("ttl", [0, -1])
     def test_rejects_non_positive_ttl(self, ttl):
@@ -440,10 +454,22 @@ class TestRoute:
             route("gpsr", 0, 1, snap)
         with pytest.raises(ValueError):
             route("dir", 0, 1, snap, ttl=0)
-        with pytest.raises(KeyError):
-            route("dir", 0, 9, snap)
+        for unknown in (9, -1, len(snap), 1.5):
+            with pytest.raises(KeyError):
+                route("dir", 0, unknown, snap)
+            with pytest.raises(KeyError):
+                route("lar", unknown, 1, snap)
         with pytest.raises(ValueError):
             route("dir", 0, 1, snap, now=1.0, known_time=2.0)
+        with pytest.raises(ValueError, match="known"):
+            route("dir", 0, 1, snap, known=make_snapshot([(0, 0)], 100))
+        far = make_snapshot([(0, 0), (50, 0), (120, 0)], 100)
+        for now in (math.nan, math.inf):
+            for dst in (2, 0):
+                with pytest.raises(ValueError):
+                    route("dir", 0, dst, far, now=now)
+        with pytest.raises(ValueError):
+            route("dlar", 0, 2, far, now=1.0, known_time=math.nan)
 
 
 class TestRouteProperties:
@@ -452,7 +478,7 @@ class TestRouteProperties:
         checked = 0
         for _ in range(500):
             snap = oracles.random_snapshot(rng, n=25, size=500.0, tx=rng.uniform(60, 150))
-            ids = snap.ids.tolist()
+            ids = range(len(snap))
             for _ in range(20):
                 src, dst = rng.sample(ids, 2)
                 protocol = rng.choice(["dir", "dlar", "lar"])
@@ -465,8 +491,7 @@ class TestRouteProperties:
         rng = random.Random(2718)
         for _ in range(300):
             snap = oracles.random_snapshot(rng)
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             protocol = rng.choice(["dir", "dlar", "lar"])
             result = route(protocol, src, dst, snap)
             if result.outcome is Outcome.DELIVERED:
@@ -478,8 +503,7 @@ class TestRouteProperties:
         rng = random.Random(404)
         for _ in range(300):
             snap = oracles.random_snapshot(rng, n=rng.randint(2, 80))
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             target = position(snap, dst)
             if target == position(snap, src):
                 continue
@@ -498,8 +522,7 @@ class TestRouteProperties:
         dominated = 0
         for _ in range(200):
             snap = oracles.random_snapshot(rng, n=60, tx=rng.uniform(100, 220))
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             now = rng.uniform(0, 5)
             dlar_result = route("dlar", src, dst, snap, now=now)
             if dlar_result.outcome is Outcome.DELIVERED:
@@ -513,8 +536,7 @@ class TestRouteProperties:
         rng = random.Random(808)
         for _ in range(50):
             snap = oracles.random_snapshot(rng)
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             protocol = rng.choice(["dir", "dlar", "lar"])
             now = rng.uniform(0, 5)
             first = route(protocol, src, dst, snap, now=now)
@@ -528,10 +550,9 @@ class TestRouteProperties:
             snap = oracles.random_snapshot(rng, n=40)
             dx, dy = rng.uniform(-5000, 5000), rng.uniform(-5000, 5000)
             moved = NetworkSnapshot(
-                snap.transmission_range, snap.ids, snap.x + dx, snap.y + dy, snap.speed, snap.heading
+                snap.transmission_range, snap.x + dx, snap.y + dy, snap.speed, snap.heading
             )
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             for protocol in ("dir", "lar", "dlar"):
                 a = route(protocol, src, dst, snap, now=1.0)
                 b = route(protocol, src, dst, moved, now=1.0)
@@ -548,14 +569,12 @@ class TestRouteProperties:
             cos_t, sin_t = math.cos(theta), math.sin(theta)
             rotated = NetworkSnapshot(
                 snap.transmission_range,
-                snap.ids,
                 snap.x * cos_t - snap.y * sin_t,
                 snap.x * sin_t + snap.y * cos_t,
                 snap.speed,
                 wrap_angle(snap.heading + theta),
             )
-            ids = snap.ids.tolist()
-            src, dst = rng.sample(ids, 2)
+            src, dst = rng.sample(range(len(snap)), 2)
             a = route("dir", src, dst, snap)
             b = route("dir", src, dst, rotated)
             assert a.path == b.path and a.outcome == b.outcome
@@ -563,33 +582,24 @@ class TestRouteProperties:
 
 def columns(**changes):
     """Columns of three valid vehicles, with ``changes`` applied."""
-    base = dict(ids=[0, 1, 2], x=[0.0, 50.0, 90.0], y=[0.0, 0.0, 0.0],
+    base = dict(x=[0.0, 50.0, 90.0], y=[0.0, 0.0, 0.0],
                 speed=[1.0, 0.0, 2.0], heading=[0.0, 1.0, -1.0])
     return {**base, **changes}
 
 
 class TestSnapshot:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkSnapshot(100, [1, 1], [0, 1], [0, 1], [0, 0], [0, 0])
-
     def test_non_positive_range_rejected(self):
         for reach in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="transmission_range"):
                 NetworkSnapshot(reach, **columns())
 
     def test_empty_snapshot_from_lists(self):
-        snap = NetworkSnapshot(100.0, [], [], [], [], [])
+        snap = NetworkSnapshot(100.0, [], [], [], [])
         assert len(snap) == 0
-        assert snap.ids.dtype.kind == "i"
 
     @pytest.mark.parametrize(
         "changes",
         [
-            dict(ids=[2, 0, 1]),
-            dict(ids=[0, 0, 1]),
-            dict(ids=[0.0, 1.0, 2.0]),
-            dict(ids=[[0, 1, 2]]),
             dict(x=[0.0, 50.0]),
             dict(speed=[1.0, 0.0, 2.0, 3.0]),
             dict(x=[math.nan, 50.0, 90.0]),
@@ -598,10 +608,11 @@ class TestSnapshot:
             dict(speed=[1.0, -5.0, 2.0]),
             dict(speed=[1.0, math.inf, 2.0]),
             dict(speed=[1.0, math.nan, 2.0]),
+            {name: [column] for name, column in columns().items()},
         ],
         ids=[
-            "unsorted-ids", "duplicate-ids", "float-ids", "2d-ids", "short-x", "long-speed",
-            "nan-x", "inf-y", "nan-heading", "negative-speed", "inf-speed", "nan-speed",
+            "short-x", "long-speed", "nan-x", "inf-y", "nan-heading", "negative-speed",
+            "inf-speed", "nan-speed", "2d-columns",
         ],
     )
     def test_invalid_columns_rejected(self, changes):
@@ -611,18 +622,18 @@ class TestSnapshot:
 
     def test_columns_of_a_snapshot_are_reused_and_new_ones_checked(self):
         snap = NetworkSnapshot(100.0, **columns())
-        moved = NetworkSnapshot(100.0, **columns(ids=snap.ids, speed=snap.speed, x=[5.0, 6.0, 7.0]))
-        assert moved.ids is snap.ids and moved.speed is snap.speed
+        moved = NetworkSnapshot(100.0, **columns(y=snap.y, speed=snap.speed, x=[5.0, 6.0, 7.0]))
+        assert moved.y is snap.y and moved.speed is snap.speed
         with pytest.raises(ValueError, match="finite"):
-            NetworkSnapshot(100.0, **columns(ids=snap.ids, speed=snap.speed, x=[math.nan, 6.0, 7.0]))
+            NetworkSnapshot(100.0, **columns(y=snap.y, speed=snap.speed, x=[math.nan, 6.0, 7.0]))
         # A read-only column that no snapshot has checked is still checked.
         speed = np.array([1.0, -5.0, 2.0])
         speed.flags.writeable = False
         with pytest.raises(ValueError, match="speed"):
-            NetworkSnapshot(100.0, **columns(ids=snap.ids, speed=speed))
+            NetworkSnapshot(100.0, **columns(y=snap.y, speed=speed))
         # A checked column that its owner made writeable again and changed is
         # checked again.
-        for name, value in (("ids", [7, 1, 2]), ("speed", [1.0, -5.0, 2.0])):
+        for name, value in (("x", [math.nan, 1.0, 2.0]), ("speed", [1.0, -5.0, 2.0])):
             column = getattr(NetworkSnapshot(100.0, **columns()), name)
             column.flags.writeable = True
             column[:] = value

@@ -36,12 +36,21 @@ class TestExpectedZone:
             expected_zone(Position(0, 0), 5.0, 10.0, 3.0)
 
     def test_negative_speed_raises(self):
-        with pytest.raises(ValueError, match="dest_speed"):
-            expected_zone(Position(0, 0), -1.0, 0.0, 1.0)
+        for speed in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="dest_speed"):
+                expected_zone(Position(0, 0), speed, 0.0, 1.0)
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            ExpectedZone(Position(0, 0), -0.5)
+        for radius in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                ExpectedZone(Position(0, 0), radius)
+
+    @pytest.mark.parametrize("name", ["t0", "t1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_raise(self, name, value):
+        times = {"t0": 0.0, "t1": 1.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            expected_zone(Position(0, 0), 1.0, **times)
 
 
 class TestRequestZone:

@@ -28,8 +28,8 @@ from .routing import (
 
 # Largest campaign accepted, in vehicles; each takes 32 B (four floats) per snapshot.
 MAX_NODES = 1_000_000
-# Most flows per campaign.  100,000 D-LAR flows take ~9 s between two vehicles,
-# but one takes ~0.4 s among MAX_NODES, so this cap alone does not bound the work.
+# Most flows per campaign.  100,000 D-LAR flows take ~6 s between two vehicles,
+# but each adds ~0.15 s among MAX_NODES, so this cap alone does not bound the work.
 MAX_FLOWS = 100_000
 
 METRICS_HEADER = [
@@ -134,12 +134,7 @@ class CampaignMetrics:
 
 
 def _rng_streams(seed: int):
-    placement, motion, flows = np.random.SeedSequence(seed).spawn(3)
-    return (
-        np.random.default_rng(placement),
-        np.random.default_rng(motion),
-        np.random.default_rng(flows),
-    )
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
 def generate_nodes(config: SimConfig) -> NetworkSnapshot:
@@ -151,6 +146,11 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
     """
     config.validate()
     placement_rng, motion_rng, _ = _rng_streams(config.seed)
+    return _placed(config, placement_rng, motion_rng)
+
+
+def _placed(config: SimConfig, placement_rng, motion_rng) -> NetworkSnapshot:
+    """The field :func:`generate_nodes` draws, from the given generators."""
     area = config.field_width * config.field_height
     if config.node_count is not None:
         count = config.node_count
@@ -285,8 +285,9 @@ def run_campaign(
     for protocol in protocols:
         if protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    start = generate_nodes(config)  # validates the config first
-    _, _, flow_rng = _rng_streams(config.seed)
+    config.validate()
+    placement_rng, motion_rng, flow_rng = _rng_streams(config.seed)
+    start = _placed(config, placement_rng, motion_rng)
     width, height = config.field_width, config.field_height
 
     trig = _trig(start)

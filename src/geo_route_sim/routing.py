@@ -91,10 +91,9 @@ class RouteResult:
         return len(self.path) - 1
 
 
-def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
-    """Reach matrix: entry (i, j) says whether ``cols[j]`` lies within
-    transmission range of ``rows[i]``, boundary inclusive (a row reaches
-    itself).  ``rows`` is an index array, ``cols`` an index array or slice.
+def _squared(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Scaled squares of the differences ``dx``, ``dy`` (overwritten), and the
+    band ``(lo, hi)``: a square above ``hi`` is out of range, below ``lo`` in.
 
     Membership equals ``distance(a, b) <= R`` exactly, for every range.  With
     ``R = m * 2**e`` (``0.5 <= m < 1``), the coordinate differences are
@@ -105,45 +104,55 @@ def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
     lies within a relative 2**-50 of R²; pairs within 2**-48 of it are
     settled by :func:`distance`.  Below the normal range an ulp of
     ``math.hypot`` is 2**-1074 however small R is, and the band widens to
-    match.
+    match.  The caller ignores overflow: a square that overflows to inf lies
+    far outside any finite range.
     """
-    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
     m, e = math.frexp(reach)
-    # A square that overflows to inf lies far outside any finite range.
+    for d in (dx, dy):
+        np.ldexp(d, -e, out=d)
+        d *= d
+    dx += dy
+    r2, band = m * m, max(2.0**-48, 2.0**-1070 / reach)
+    return dx, r2 * (1.0 - band), r2 * (1.0 + band)
+
+
+def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
+    """Reach matrix: entry (i, j) says whether ``cols[j]`` lies within exact
+    transmission range (see :func:`_squared`) of ``rows[i]``, boundary
+    inclusive (a row reaches itself); ``rows`` and ``cols`` are index arrays."""
+    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
     with np.errstate(over="ignore"):
-        d2 = x[cols] - x[rows, None]
-        np.ldexp(d2, -e, out=d2)
-        d2 *= d2
-        dy = y[cols] - y[rows, None]
-        np.ldexp(dy, -e, out=dy)
-        dy *= dy
-        d2 += dy
-    r2 = m * m
-    band = max(2.0**-48, 2.0**-1070 / reach)
-    inside = d2 <= r2 * (1.0 + band)
-    edge = inside & (d2 >= r2 * (1.0 - band))
+        d2, lo, hi = _squared(reach, x[cols] - x[rows, None], y[cols] - y[rows, None])
+    inside = d2 <= hi
+    edge = inside & (d2 >= lo)
     if edge.any():
         i, j = np.nonzero(edge)
-        p, q = np.asarray(rows)[i], np.arange(len(x))[cols][j]
+        p, q = rows[i], cols[j]
         here, there = zip(x[p].tolist(), y[p].tolist()), zip(x[q].tolist(), y[q].tolist())
         for a, b, h, t in zip(i.tolist(), j.tolist(), here, there):
             inside[a, b] = distance(Position(*h), Position(*t)) <= reach
     return inside
 
 
-def _in_range(snapshot: NetworkSnapshot, row: int) -> np.ndarray:
-    """Mask of the rows within transmission range of ``row``, boundary
-    inclusive, ``row`` itself excluded."""
-    inside = _within(snapshot, [row], slice(None))[0]
-    inside[row] = False
-    return inside
+def _near(snapshot: NetworkSnapshot, hx: float, hy: float, skip) -> np.ndarray:
+    """Ascending rows within range of (``hx``, ``hy``), boundary inclusive and
+    exact (see :func:`_squared`), except ``skip``; the caller ignores overflow."""
+    x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
+    d2, lo, hi = _squared(reach, x - hx, y - hy)
+    d2[skip] = math.nan  # fails every test, where inf would pass an infinite range
+    rows = (d2 <= hi).nonzero()[0]
+    far = [i for i in (d2[rows] >= lo).nonzero()[0].tolist()
+           if distance(Position(hx, hy), Position(x.item(rows[i]), y.item(rows[i]))) > reach]
+    return np.delete(rows, far) if far else rows
 
 
 def neighbors(v_id: int, snapshot: NetworkSnapshot) -> list[int]:
     """Ids of the vehicles within transmission range of ``v_id``, boundary
     inclusive, in ascending order so that downstream selections are
     deterministic."""
-    return np.flatnonzero(_in_range(snapshot, snapshot.row(v_id))).tolist()
+    row = snapshot.row(v_id)
+    with np.errstate(over="ignore"):
+        return _near(snapshot, snapshot.x.item(row), snapshot.y.item(row), row).tolist()
 
 
 def _known_view(known: Optional[NetworkSnapshot], snapshot: NetworkSnapshot) -> NetworkSnapshot:
@@ -173,26 +182,28 @@ def _greedy_next_hop(snapshot, known, row, dest, exclude, ez=None) -> Optional[i
     (plus 2**-1000) of the least angle are settled by the exact scalar key.
     A product that overflows makes the cut NaN, which keeps every candidate.
     """
-    here = Position(float(snapshot.x[row]), float(snapshot.y[row]))
-    if dest == here:
+    hx, hy = snapshot.x.item(row), snapshot.y.item(row)
+    if dest.x == hx and dest.y == hy:
         raise ValueError("destination position coincides with the forwarder")
-    inside = _in_range(snapshot, row)
-    inside[[int(v) for v in exclude if 0 <= v < len(inside) and v % 1 == 0]] = False
-    rows = np.flatnonzero(inside)
-    x, y = known.x[rows], known.y[rows]
-    keep = (x != here.x) | (y != here.y)
-    if ez is not None:
-        keep &= in_request_zone(x, y, request_zone(here, ez))
-        turn = snapshot.heading[rows] - snapshot.heading[row]
-        aligned = keep & (np.abs(wrap_angle(turn)) <= HALF_PI)
-        keep = aligned if aligned.any() else keep
-    x, y, rows = x[keep], y[keep], rows[keep]
-    if not len(rows):
-        return None
-    ux, uy, vx, vy = x - here.x, y - here.y, dest.x - here.x, dest.y - here.y
+    skip = [row, *(int(v) for v in exclude if 0 <= v < len(snapshot) and v % 1 == 0)]
     with np.errstate(over="ignore", invalid="ignore"):
+        rows = _near(snapshot, hx, hy, skip)
+        x, y = known.x[rows], known.y[rows]
+        keep = (x != hx) | (y != hy)
+        if ez is not None:
+            keep &= in_request_zone(x, y, request_zone(Position(hx, hy), ez))
+            turn = snapshot.heading[rows] - snapshot.heading.item(row)
+            aligned = keep & (np.abs(wrap_angle(turn)) <= HALF_PI)
+            keep = aligned if aligned.any() else keep
+        x, y, rows = x[keep], y[keep], rows[keep]
+        if not len(rows):
+            return None
+        ux, uy, vx, vy = x - hx, y - hy, dest.x - hx, dest.y - hy
         angle = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        near = np.flatnonzero(~(angle > angle.min() * (1 + 2**-40) + 2**-1000))
+        near = (~(angle > angle.min() * (1 + 2**-40) + 2**-1000)).nonzero()[0]
+    if len(near) == 1:
+        return rows.item(near[0])
+    here = Position(hx, hy)
     columns = (x[near].tolist(), y[near].tolist(), rows[near].tolist())
     pool = [(Position(px, py), r) for px, py, r in zip(*columns)]
     best = min(pool, key=lambda c: (deviation_angle(here, c[0], dest), distance(c[0], dest), c[1]))
@@ -273,10 +284,10 @@ def lar_route_discovery(
     x, y = snapshot.x, snapshot.y
     # The flood's columns: the zone relays and the destination.  The source
     # always lies inside its own request zone, so it relays.
-    cand = in_request_zone(x, y, request_zone(Position(float(x[src]), float(y[src])), ez))
+    cand = in_request_zone(x, y, request_zone(Position(x.item(src), y.item(src)), ez))
     cand[dst] = True
     cand[src] = False
-    unreached = np.flatnonzero(cand)
+    unreached = cand.nonzero()[0]
     parent = np.full(len(snapshot), -1)  # -1: not reached yet
     frontier = np.array([src])
     for _ in range(ttl):
@@ -291,7 +302,7 @@ def lar_route_discovery(
             hit = reach.any(axis=0)
             # Each reached row's parent is its first relay in reach order;
             # sorting stably by it keeps ascending ids within one relay.
-            first = reach[:, hit].argmax(axis=0)
+            first = reach.argmax(axis=0)[hit]
             order = np.argsort(first, kind="stable")
             new = unreached[hit][order]
             parent[new] = block[first[order]]
@@ -346,17 +357,17 @@ def route(
         return RouteResult(Outcome.DELIVERED, (src,))
     if protocol == "lar":
         return lar_route_discovery(source_id, dest_id, snapshot, ez, ttl)
-    dest = Position(float(x[dst]), float(y[dst]))
+    dest = Position(x.item(dst), y.item(dst))
     path = [src]
     while True:
         row = path[-1]
-        here = Position(float(x[row]), float(y[row]))
+        hx, hy = x.item(row), y.item(row)
         # len(path) - 1 hops are spent; the direct final hop needs budget too.
         if len(path) - 1 == ttl:
             return RouteResult(Outcome.TTL_DROP, tuple(path))
-        if distance(here, dest) <= snapshot.transmission_range:
+        if distance(Position(hx, hy), dest) <= snapshot.transmission_range:
             return RouteResult(Outcome.DELIVERED, (*path, dst))
-        if dest_last == here:
+        if dest_last.x == hx and dest_last.y == hy:
             # Stale knowledge led exactly onto the destination's old spot;
             # there is no direction left to steer by.
             return RouteResult(Outcome.VOID_DROP, tuple(path))

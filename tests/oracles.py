@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from geo_route_sim.geometry import Position, deviation_angle, distance, wrap_angle
-from geo_route_sim.routing import HALF_PI, NetworkSnapshot, Outcome, RouteResult, neighbors
+from geo_route_sim.routing import HALF_PI, NetworkSnapshot, Outcome, RouteResult
 from geo_route_sim.zones import in_request_zone
 
 
@@ -137,10 +137,13 @@ def greedy_by_scalar_min(snapshot, known, row, here, heading, dest, exclude, zon
     position ``here``, its ``heading`` and the request ``zone`` (D-LAR;
     None for DIR) are given explicitly rather than derived from ``row``, and
     ``exclude`` holds rows only.  Unlike the acos oracle above it shares the
-    package's exact key, so it pins the chooser's tie-breaking bit for bit."""
-    inside = np.zeros(len(snapshot), dtype=bool)
-    inside[neighbors(row, snapshot)] = True
-    inside[exclude] = False
+    package's exact key, so it pins the chooser's tie-breaking bit for bit.
+    Neighbors are taken pair by pair by :func:`distance`, the definition the
+    package's range test must meet, not from the range test itself."""
+    at = [Position(px, py) for px, py in zip(snapshot.x.tolist(), snapshot.y.tolist())]
+    reach = snapshot.transmission_range
+    inside = np.array([distance(at[row], p) <= reach for p in at])
+    inside[[row, *exclude]] = False
     rows = np.flatnonzero(inside)
     x, y = known.x[rows], known.y[rows]
     keep = (x != here.x) | (y != here.y)

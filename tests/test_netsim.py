@@ -215,8 +215,8 @@ class TestFiringSteps:
     def record_moves(monkeypatch):
         """The placements drawn and the times ``start`` is moved to."""
         placed, moves = [], []
-        generate, moved = netsim.generate_nodes, netsim._moved
-        monkeypatch.setattr(netsim, "generate_nodes", lambda c: placed.append(c) or generate(c))
+        place, moved = netsim._placed, netsim._moved
+        monkeypatch.setattr(netsim, "_placed", lambda c, *rngs: placed.append(c) or place(c, *rngs))
         monkeypatch.setattr(
             netsim, "_moved", lambda snap, t, *a: moves.append(t) or moved(snap, t, *a)
         )
@@ -447,7 +447,7 @@ class TestRunCampaign:
         assert run_campaign(cell, PROTOCOLS) == expected
 
     def test_unknown_protocol_rejected_before_placement(self, monkeypatch):
-        monkeypatch.setattr(netsim, "generate_nodes", lambda c: pytest.fail("nodes drawn"))
+        monkeypatch.setattr(netsim, "_placed", lambda *a: pytest.fail("nodes drawn"))
         with pytest.raises(ValueError, match="aodv"):
             run_campaign(small_config(), ("dir", "aodv"))
 

@@ -154,14 +154,16 @@ class TestDirNextHop:
 
 
 class TestGreedyNextHop:
-    @pytest.mark.parametrize("scale", [1e-300, 0.1, 1.0, 7.3, 1e150, 1e300])
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 0.1, 1.0, 7.3, 1e150, 1e300])
     def test_matches_scalar_min(self, scale):
         # Lattice points on one ray from the forwarder tie exactly in angle at
         # different distances, and at scales 0.1 and 7.3 their products
         # round apart, so numpy's and math's arctangents can order them
         # differently by an ulp.  At 1e-300 the products underflow (all
-        # angles tie at 0); at 1e300 they overflow to NaN.  A lagged known
-        # view moves some candidates elsewhere, some onto the forwarder.
+        # angles tie at 0); at 1e300 they overflow to NaN.  At 1e-310 the
+        # range is subnormal, where the range test's band is 2**-1070 / R
+        # wide.  A lagged known view moves some candidates elsewhere, some
+        # onto the forwarder.
         rng = random.Random(repr(scale))
         for _ in range(200):
             mode = rng.choice(["ray", "ray", "lattice", "uniform"])

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not in a run
 
-from .geometry import TWO_PI, wrap_angle
+from .geometry import TWO_PI
 from .routing import (
     DEFAULT_TTL,
     DROP_OUTCOMES,
@@ -28,8 +28,8 @@ from .routing import (
 
 # Largest campaign accepted, in vehicles; each takes 32 B (four floats) per snapshot.
 MAX_NODES = 1_000_000
-# Most flows per campaign.  100,000 D-LAR flows take ~6 s between two vehicles,
-# but each adds ~0.15 s among MAX_NODES, so this cap alone does not bound the work.
+# Most flows per campaign.  100,000 D-LAR flows take ~5 s between two vehicles, but
+# each adds 0.15-0.4 s (memory-bound) among MAX_NODES, so this cap alone does not bound the work.
 MAX_FLOWS = 100_000
 
 METRICS_HEADER = [
@@ -47,6 +47,13 @@ METRICS_HEADER = [
     "loop_drops",
     "zone_unreachable",
 ]
+
+
+def _check_positive(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
@@ -70,21 +77,9 @@ class SimConfig:
     per_hop_latency_ms: float = 2.0
 
     def validate(self) -> None:
-        for name in (
-            "field_width",
-            "field_height",
-            "density",
-            "tx_range",
-            "speed_min",
-            "speed_max",
-            "beacon_interval",
-            "duration",
-            "time_step",
-            "per_hop_latency_ms",
-        ):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        names = ("field_width", "field_height", "density", "tx_range", "speed_min", "speed_max",
+                 "beacon_interval", "duration", "time_step", "per_hop_latency_ms")
+        _check_positive(**{name: getattr(self, name) for name in names})
         if self.speed_min > self.speed_max:
             raise ValueError(
                 f"speed_min must be <= speed_max, got {self.speed_min!r} > {self.speed_max!r}"
@@ -162,16 +157,31 @@ def _placed(config: SimConfig, placement_rng, motion_rng) -> NetworkSnapshot:
     speeds = motion_rng.uniform(config.speed_min, config.speed_max, size=count)
     # Headings are wrapped twice, the sequence seeded campaigns have always
     # used, so their output stays byte-identical.
-    return NetworkSnapshot(config.tx_range, xs, ys, speeds, wrap_angle(wrap_angle(headings)))
+    return NetworkSnapshot(config.tx_range, xs, ys, speeds, _wrapped(_wrapped(headings)))
 
 
 def _fold(u: np.ndarray, period: float) -> np.ndarray:
-    """``np.mod(u, period)`` bit for bit, in place and faster: ``fmod``, plus ``period``
-    where negative; adding ``0.0`` turns its ``-0.0`` into ``mod``'s ``+0.0``."""
-    np.fmod(u, period, out=u)
-    np.add(u, period, out=u, where=u < 0.0)
-    u += 0.0
+    """``np.mod(u, period)`` bit for bit, in place and faster (``period`` > 0).
+
+    ``fmod``, the slow step, runs only when some ``|u| >= period``:
+    elsewhere ``fmod(u, period)`` is ``u`` itself, ``-0.0`` included.  Then
+    ``period`` is added where the remainder is negative, as ``mod`` does, and
+    ``0.0`` elsewhere, which turns ``-0.0`` into ``mod``'s ``+0.0`` and keeps
+    every other value.  No step is masked: a ``where=`` pass over a
+    scattered mask is slower than the whole pass.
+    """
+    if (np.abs(u) >= period).any():
+        np.fmod(u, period, out=u)
+    u += np.where(u < 0.0, period, 0.0)
     return u
+
+
+def _wrapped(heading: np.ndarray) -> np.ndarray:
+    """:func:`~geo_route_sim.geometry.wrap_angle` of a heading column, bit for
+    bit, in place: its ``np.mod`` is done by :func:`_fold`, which is faster
+    from a few hundred rows on."""
+    _fold(np.subtract(math.pi, heading, out=heading), TWO_PI)
+    return np.subtract(math.pi, heading, out=heading)
 
 
 def _moved(
@@ -182,20 +192,20 @@ def _moved(
     and ``sin`` are those of ``start.heading``, which a campaign takes once.
 
     Each axis is a triangle wave: the unfolded coordinate ``u`` taken mod 2W
-    lies on the outbound leg when ``u <= W`` and on the mirrored leg
-    otherwise, where the heading's component on that axis is reversed.
+    lies on the outbound leg when ``u <= W`` and on the mirrored leg, at
+    ``2W - u``, otherwise, where the heading's component on that axis is
+    reversed.  The position is ``min(u, 2W - u)``, which picks that leg
+    exactly: above W the difference is exact (Sterbenz), and below W it
+    rounds to at least W.
     """
-    speed, heading = start.speed, start.heading
+    speed = start.speed
     ux = _fold(start.x + speed * t * cos, 2.0 * width)
     uy = _fold(start.y + speed * t * sin, 2.0 * height)
-    flip_x = ux > width
-    flip_y = uy > height
-    heading = np.where(flip_x, math.pi - heading, heading)
-    heading = np.where(flip_y, -heading, heading)
-    np.subtract(2.0 * width, ux, out=ux, where=flip_x)
-    np.subtract(2.0 * height, uy, out=uy, where=flip_y)
-    heading = math.pi - _fold(math.pi - heading, TWO_PI)  # wrap_angle, by the faster fold
-    return NetworkSnapshot(start.transmission_range, ux, uy, speed, heading)
+    heading = np.subtract(math.pi, start.heading, out=start.heading.copy(), where=ux > width)
+    np.negative(heading, out=heading, where=uy > height)
+    np.minimum(ux, 2.0 * width - ux, out=ux)
+    np.minimum(uy, 2.0 * height - uy, out=uy)
+    return NetworkSnapshot(start.transmission_range, ux, uy, speed, _wrapped(heading))
 
 
 def _trig(snapshot: NetworkSnapshot) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +220,7 @@ def step_mobility(
     Vehicles crossing a field boundary reflect: the position folds back inside
     and the heading mirrors on the violated axis.  Speeds are untouched.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    _check_positive(dt=dt, field_width=field_width, field_height=field_height)
     return _moved(snapshot, dt, field_width, field_height, *_trig(snapshot))
 
 
@@ -235,8 +244,11 @@ def beacon_view(
     the snapshot itself is returned.  Routing decisions consume this stale
     view; delivery checks stay on the snapshot's ground truth.
     """
-    if not beacon_interval > 0:
-        raise ValueError(f"beacon_interval must be > 0, got {beacon_interval!r}")
+    if not math.isfinite(sim_time):
+        raise ValueError(f"sim_time must be finite, got {sim_time!r}")
+    _check_positive(
+        beacon_interval=beacon_interval, field_width=field_width, field_height=field_height
+    )
     lag = sim_time - _beacon_tick(sim_time, beacon_interval)
     return _moved(snapshot, -lag, field_width, field_height, *_trig(snapshot)) if lag else snapshot
 

@@ -97,19 +97,25 @@ def _squared(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, 
 
     Membership equals ``distance(a, b) <= R`` exactly, for every range.  With
     ``R = m * 2**e`` (``0.5 <= m < 1``), the coordinate differences are
-    scaled by ``2**-e`` before squaring; a power of two scales exactly, so
-    ``R**2`` becomes ``m**2`` and can neither overflow nor go subnormal.  The
-    squared distance then carries at most a 3-ulp rounding error, against
-    the 1-ulp error of ``math.hypot``, so the two can disagree only when d²
-    lies within a relative 2**-50 of R²; pairs within 2**-48 of it are
-    settled by :func:`distance`.  Below the normal range an ulp of
-    ``math.hypot`` is 2**-1074 however small R is, and the band widens to
-    match.  The caller ignores overflow: a square that overflows to inf lies
-    far outside any finite range.
+    scaled by ``2**-e`` before squaring, so ``R**2`` becomes ``m**2`` and can
+    neither overflow nor go subnormal.  The scale is a product with the
+    double ``2**-e``: the product and ``ldexp`` both round the exact
+    ``d * 2**-e`` once, so they give the same bits, and the product is the
+    cheaper.  Only below R = 2**-1024 is ``2**-e`` no double, and there
+    ``ldexp`` scales.  The squared distance then carries at most a 3-ulp
+    rounding error, against the 1-ulp error of ``math.hypot``, so the two
+    can disagree only when d² lies within a relative 2**-50 of R²; pairs
+    within 2**-48 of it are settled by :func:`distance`.  Below the normal
+    range an ulp of ``math.hypot`` is 2**-1074 however small R is, and the
+    band widens to match.  The caller ignores overflow: a square that
+    overflows to inf lies far outside any finite range.
     """
     m, e = math.frexp(reach)
     for d in (dx, dy):
-        np.ldexp(d, -e, out=d)
+        if e > -1024:
+            d *= math.ldexp(1.0, -e)
+        else:
+            np.ldexp(d, -e, out=d)
         d *= d
     dx += dy
     r2, band = m * m, max(2.0**-48, 2.0**-1070 / reach)
@@ -185,13 +191,17 @@ def _greedy_next_hop(snapshot, known, row, dest, exclude, ez=None) -> Optional[i
     hx, hy = snapshot.x.item(row), snapshot.y.item(row)
     if dest.x == hx and dest.y == hy:
         raise ValueError("destination position coincides with the forwarder")
-    skip = [row, *(int(v) for v in exclude if 0 <= v < len(snapshot) and v % 1 == 0)]
+    n = len(snapshot)
+    skip = [row, *(int(v) for v in exclude if 0 <= v < n and v % 1 == 0)]
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _near(snapshot, hx, hy, skip)
         x, y = known.x[rows], known.y[rows]
         keep = (x != hx) | (y != hy)
         if ez is not None:
-            keep &= in_request_zone(x, y, request_zone(Position(hx, hy), ez))
+            # The request zone anchored here, bound for bound as request_zone builds it.
+            c, r = ez.center, ez.radius
+            keep &= ((min(hx, c.x - r) <= x) & (x <= max(hx, c.x + r))
+                     & (min(hy, c.y - r) <= y) & (y <= max(hy, c.y + r)))
             turn = snapshot.heading[rows] - snapshot.heading.item(row)
             aligned = keep & (np.abs(wrap_angle(turn)) <= HALF_PI)
             keep = aligned if aligned.any() else keep
@@ -357,7 +367,7 @@ def route(
         return RouteResult(Outcome.DELIVERED, (src,))
     if protocol == "lar":
         return lar_route_discovery(source_id, dest_id, snapshot, ez, ttl)
-    dest = Position(x.item(dst), y.item(dst))
+    tx, ty = x.item(dst), y.item(dst)
     path = [src]
     while True:
         row = path[-1]
@@ -365,7 +375,7 @@ def route(
         # len(path) - 1 hops are spent; the direct final hop needs budget too.
         if len(path) - 1 == ttl:
             return RouteResult(Outcome.TTL_DROP, tuple(path))
-        if distance(Position(hx, hy), dest) <= snapshot.transmission_range:
+        if math.hypot(tx - hx, ty - hy) <= snapshot.transmission_range:  # geometry.distance
             return RouteResult(Outcome.DELIVERED, (*path, dst))
         if dest_last.x == hx and dest_last.y == hy:
             # Stale knowledge led exactly onto the destination's old spot;

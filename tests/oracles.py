@@ -280,6 +280,29 @@ def advance_by_stepping(x, y, speed, heading, dt, width, height):
     return x, y, speed, -heading if flip_y else heading
 
 
+def moved_by_mod(start: NetworkSnapshot, t, width, height, cos, sin):
+    """(x, y, heading) columns of ``start`` moved ``t`` seconds by the closed
+    form as first written: ``np.mod`` folds and ``np.where`` reflections,
+    every step a fresh array.  ``netsim._moved`` must give these bits."""
+    ux = np.mod(start.x + start.speed * t * cos, 2.0 * width)
+    uy = np.mod(start.y + start.speed * t * sin, 2.0 * height)
+    flip_x, flip_y = ux > width, uy > height
+    heading = np.where(flip_x, math.pi - start.heading, start.heading)
+    heading = np.where(flip_y, -heading, heading)
+    ux = np.where(flip_x, 2.0 * width - ux, ux)
+    uy = np.where(flip_y, 2.0 * height - uy, uy)
+    return ux, uy, math.pi - np.mod(math.pi - heading, 2.0 * math.pi)
+
+
+def squared_by_ldexp(reach, dx, dy):
+    """The scaled squared distances of ``routing._squared`` as first written:
+    each difference scaled by ``np.ldexp`` before squaring."""
+    e = math.frexp(reach)[1]
+    with np.errstate(over="ignore"):
+        sx, sy = np.ldexp(dx, -e), np.ldexp(dy, -e)
+        return sx * sx + sy * sy
+
+
 def firing_steps_by_stepping(duration, flows, time_step):
     """Grid step of each flow, found by walking the time grid one step at a
     time and firing every flow whose slot is due."""

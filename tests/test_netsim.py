@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import geo_route_sim.netsim as netsim
 import oracles
-from geo_route_sim.geometry import Position
+from geo_route_sim.geometry import Position, wrap_angle
 from geo_route_sim.netsim import (
     CampaignMetrics,
     METRICS_HEADER,
@@ -116,6 +118,16 @@ class TestStepMobility:
         snap = make_snapshot([(0, 0)], 100)
         with pytest.raises(ValueError):
             step_mobility(snap, 0.0, 100, 100)
+
+    @pytest.mark.parametrize("name", ["field_width", "field_height"])
+    @pytest.mark.parametrize("size", [-5.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_rejects_bad_field_size_naming_it(self, name, size):
+        # A width of -5 used to move this vehicle to x = -14.5, outside every
+        # field, and a zero width leaked fmod's RuntimeWarning.
+        snap = make_snapshot([(0.5, 0.5)], 100, headings={0: math.pi}, speeds={0: 30.0})
+        sizes = {"field_width": 1000.0, "field_height": 1000.0, name: size}
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            step_mobility(snap, 0.5, sizes["field_width"], sizes["field_height"])
 
 
 def heading_gap(a, b):
@@ -268,6 +280,64 @@ class TestMotionBits:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @staticmethod
+    def edges(period):
+        """The fold's edge cases at ``period``: 0, P and 2P, each 1 ulp either
+        side, both signs; far multiples; subnormals."""
+        multiples = [k * period for k in (0.0, 1.0, 2.0)]
+        near = [v for m in multiples for v in (m, math.nextafter(m, 0.0), math.nextafter(m, math.inf))]
+        far = [period * 2.0**40 + period / 3, 1e300, 1.7976931348623157e308]
+        values = near + far + [5e-324, 1e-310, 2.2250738585072014e-308]
+        return [v for u in values for v in (u, -u) if math.isfinite(v)]
+
+    @given(
+        st.one_of(st.sampled_from([2 * 400.0, 2 * 2000.0, 2 * math.pi, 2 * 1e300, 1e-310]),
+                  st.floats(1e-300, 1e300)),
+        st.data(),
+    )
+    def test_fold_is_mod_bit_for_bit_at_the_edges(self, period, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(st.lists(st.one_of(st.sampled_from(self.edges(period)), finite),
+                                    min_size=1, max_size=40))
+        u = np.array(values)
+        self.assert_same_bits(netsim._fold(u.copy(), period), np.mod(u, period))
+
+    @given(st.lists(st.one_of(
+        st.floats(-100.0, 100.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, math.pi, -math.pi,
+                         math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0), 2 * math.pi,
+                         -2 * math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300]),
+    ), min_size=1, max_size=40))
+    def test_wrapped_column_is_scalar_wrap_angle_bit_for_bit(self, headings):
+        # The move's and the placement's heading wrap, against the scalar formula.
+        want = [wrap_angle(h) for h in headings]
+        self.assert_same_bits(netsim._wrapped(np.array(headings)), want)
+        self.assert_same_bits(wrap_angle(np.array(headings)), want)
+
+    @given(
+        st.sampled_from([(400.0, 300.0), (2000.0, 2000.0), (1.0, 3.0), (1e300, 7.5e299)]),
+        st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0, 0.5, 7.5, -0.3, 123.25])),
+        st.data(),
+    )
+    def test_moved_is_mod_and_where_bit_for_bit(self, field, t, data):
+        width, height = field
+        unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5]))
+        vehicle = st.tuples(unit, unit, st.floats(0.0, 50.0), st.floats(-math.pi, math.pi))
+        rows = data.draw(st.lists(vehicle, min_size=1, max_size=30))
+        px, py, speed, heading = (np.array(c) for c in zip(*rows))
+        start = NetworkSnapshot(10.0, px * width, py * height, speed, heading)
+        trig = np.cos(start.heading), np.sin(start.heading)
+        moved = netsim._moved(start, t, width, height, *trig)
+        want = oracles.moved_by_mod(start, t, width, height, *trig)
+        for got, column in zip((moved.x, moved.y, moved.heading), want):
+            self.assert_same_bits(got, column)
+
     @pytest.mark.parametrize(
         "width, nodes, digest",
         [
@@ -366,6 +436,27 @@ class TestBeaconView:
         snap = make_snapshot([(0, 0)], 100)
         with pytest.raises(ValueError):
             beacon_view(snap, 1.0, 0.0, 1000, 1000)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((math.inf, 1.0, 1000.0, 1000.0), "sim_time"),  # OverflowError from floor before
+            ((-math.inf, 1.0, 1000.0, 1000.0), "sim_time"),
+            ((math.nan, 1.0, 1000.0, 1000.0), "sim_time"),  # "cannot convert float NaN"
+            ((1.5, math.inf, 1000.0, 1000.0), "beacon_interval"),
+            ((1.5, math.nan, 1000.0, 1000.0), "beacon_interval"),
+            ((1.5, 1.0, -5.0, 1000.0), "field_width"),
+            ((1.5, 1.0, 0.0, 1000.0), "field_width"),
+            ((1.5, 1.0, math.nan, 1000.0), "field_width"),
+            ((1.0, 1.0, math.inf, 1000.0), "field_width"),  # checked without a lag too
+            ((1.5, 1.0, 1000.0, 0.0), "field_height"),
+            ((1.5, 1.0, 1000.0, -math.inf), "field_height"),
+        ],
+    )
+    def test_rejects_bad_arguments_naming_them(self, args, name):
+        snap = make_snapshot([(0.5, 0.5)], 100, headings={0: math.pi}, speeds={0: 30.0})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            beacon_view(snap, *args)
 
 
 class TestRunCampaign:

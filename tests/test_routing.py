@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from geo_route_sim import routing
@@ -104,6 +106,27 @@ class TestNeighbors:
             assert 0 < want[0, 9:].sum() < len(ring)  # the ring straddles the range
         else:
             assert want.all()
+
+
+class TestSquaredScale:
+    # One range per binade class: the least subnormal, the edge below which
+    # 2**-e is no double, a subnormal, 1, the top binades and inf.
+    RANGES = [5e-324, 2.0**-1024, math.nextafter(2.0**-1024, 0.0), 2.0**-1023, 1e-310, 1.0,
+              250.0, 2.0**1022, 1.7e308, math.inf]
+
+    @given(
+        st.sampled_from(RANGES),
+        st.lists(st.tuples(
+            st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 5e-324, 1e-310])),
+            st.one_of(st.floats(allow_nan=False), st.sampled_from([1.0, -250.0, 1.7e308])),
+        ), min_size=1, max_size=30),
+    )
+    def test_scaled_squares_equal_ldexp_bit_for_bit(self, reach, pairs):
+        dx, dy = (np.array(c) for c in zip(*pairs))
+        want = oracles.squared_by_ldexp(reach, dx, dy)
+        with np.errstate(over="ignore"):
+            got = routing._squared(reach, dx.copy(), dy.copy())[0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestDirNextHop:

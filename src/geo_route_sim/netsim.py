@@ -8,7 +8,9 @@ purpose-split streams (placement, motion, flows), so replays are
 byte-identical and adding flows never perturbs node placement.
 """
 
+import copy
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -113,6 +115,8 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.ttl <= 0:
             raise ValueError(f"ttl must be > 0, got {self.ttl!r}")
+        delay = self.per_hop_latency_ms * self.ttl if self.ttl <= sys.float_info.max else math.inf
+        _check_positive(**{"per_hop_latency_ms * ttl": delay})  # the most delay a packet takes
 
 
 @dataclass(frozen=True)
@@ -184,12 +188,12 @@ def _wrapped(heading: np.ndarray) -> np.ndarray:
     return np.subtract(math.pi, heading, out=heading)
 
 
-def _moved(
-    start: NetworkSnapshot, t: float, width: float, height: float, cos: np.ndarray, sin: np.ndarray
-) -> NetworkSnapshot:
+def _moved(start: NetworkSnapshot, t: float, width: float, height: float, cos: np.ndarray,
+           sin: np.ndarray, checked: bool = True) -> NetworkSnapshot:
     """``start`` ``t`` seconds on (``t`` may be negative), every vehicle
     moving along a straight line that reflects off the field edges; ``cos``
     and ``sin`` are those of ``start.heading``, which a campaign takes once.
+    Unless ``checked`` (a campaign: validated travel keeps it finite), it skips the checks.
 
     Each axis is a triangle wave: the unfolded coordinate ``u`` taken mod 2W
     lies on the outbound leg when ``u <= W`` and on the mirrored leg, at
@@ -201,11 +205,18 @@ def _moved(
     speed = start.speed
     ux = _fold(start.x + speed * t * cos, 2.0 * width)
     uy = _fold(start.y + speed * t * sin, 2.0 * height)
-    heading = np.subtract(math.pi, start.heading, out=start.heading.copy(), where=ux > width)
-    np.negative(heading, out=heading, where=uy > height)
+    heading = start.heading.copy()
+    on_x, on_y = np.flatnonzero(ux > width), np.flatnonzero(uy > height)
+    heading[on_x] = math.pi - heading[on_x]
+    heading[on_y] = -heading[on_y]
     np.minimum(ux, 2.0 * width - ux, out=ux)
     np.minimum(uy, 2.0 * height - uy, out=uy)
-    return NetworkSnapshot(start.transmission_range, ux, uy, speed, _wrapped(heading))
+    if checked:
+        return NetworkSnapshot(start.transmission_range, ux, uy, speed, _wrapped(heading))
+    moved = copy.copy(start)  # start and moved are wrapped: the copied _headings_in_pi holds
+    moved.x, moved.y, moved.heading = ux, uy, _wrapped(heading)
+    ux.flags.writeable = uy.flags.writeable = heading.flags.writeable = False
+    return moved
 
 
 def _trig(snapshot: NetworkSnapshot) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +322,7 @@ def run_campaign(
         if fired != step:
             step, sim_time = fired, fired * config.time_step
             tick = _beacon_tick(sim_time, config.beacon_interval)
-            built = {t: built[t] if t in built else _moved(start, t, width, height, *trig)
+            built = {t: built[t] if t in built else _moved(start, t, width, height, *trig, False)
                      for t in sorted({tick, sim_time})}
             snapshot, view = built[sim_time], built[tick]
         si = int(flow_rng.integers(len(start)))

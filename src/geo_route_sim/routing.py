@@ -24,6 +24,8 @@ DEFAULT_TTL = 64
 PROTOCOLS = ("dir", "lar", "dlar")
 
 HALF_PI = math.pi / 2.0
+# turn in [-2pi, 2pi]: |wrap_angle(turn)| <= HALF_PI iff LO <= turn <= HALF_PI or |turn| >= FAR.
+_TURN_LO, _TURN_FAR = float.fromhex("-0x1.921fb54442d1ap+0"), float.fromhex("0x1.2d97c7f3321d2p+2")
 
 # Most entries in one reach matrix of the LAR flood (about 2 MB per float
 # temporary); a level's frontier is cut into blocks of relays, each tested
@@ -54,6 +56,7 @@ class NetworkSnapshot:
             column.flags.writeable = False
         self.transmission_range = float(transmission_range)
         self.x, self.y, self.speed, self.heading = x, y, speed, heading
+        self._headings_in_pi = bool((np.abs(heading) <= math.pi).all())
 
     def row(self, v_id: int) -> int:
         """Row of vehicle ``v_id``: the id itself, checked to be a whole number in [0, len)."""
@@ -122,13 +125,23 @@ def _squared(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, 
     return dx, r2 * (1.0 - band), r2 * (1.0 + band)
 
 
+def _squares(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """:func:`_squared` without the scale, two passes fewer, for R in [2**-500, 2**500]: there
+    R² and the band are normal, and a square rounds as the scaled one, overflows to inf far
+    out of range, or is subnormal and errs by at most 2**-1075 (2**-74 R²), inside the band."""
+    if not 2.0**-500 <= reach <= 2.0**500:
+        return _squared(reach, dx, dy)
+    d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+    return d2, reach * reach * (1.0 - 2.0**-48), reach * reach * (1.0 + 2.0**-48)
+
+
 def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
     """Reach matrix: entry (i, j) says whether ``cols[j]`` lies within exact
-    transmission range (see :func:`_squared`) of ``rows[i]``, boundary
+    transmission range (see :func:`_squares`) of ``rows[i]``, boundary
     inclusive (a row reaches itself); ``rows`` and ``cols`` are index arrays."""
     x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
     with np.errstate(over="ignore"):
-        d2, lo, hi = _squared(reach, x[cols] - x[rows, None], y[cols] - y[rows, None])
+        d2, lo, hi = _squares(reach, x[cols] - x[rows, None], y[cols] - y[rows, None])
     inside = d2 <= hi
     edge = inside & (d2 >= lo)
     if edge.any():
@@ -142,9 +155,9 @@ def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
 
 def _near(snapshot: NetworkSnapshot, hx: float, hy: float, skip) -> np.ndarray:
     """Ascending rows within range of (``hx``, ``hy``), boundary inclusive and
-    exact (see :func:`_squared`), except ``skip``; the caller ignores overflow."""
+    exact (see :func:`_squares`) in seven passes, except ``skip``; the caller ignores overflow."""
     x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
-    d2, lo, hi = _squared(reach, x - hx, y - hy)
+    d2, lo, hi = _squares(reach, x - hx, y - hy)
     d2[skip] = math.nan  # fails every test, where inf would pass an infinite range
     rows = (d2 <= hi).nonzero()[0]
     far = [i for i in (d2[rows] >= lo).nonzero()[0].tolist()
@@ -170,47 +183,54 @@ def _known_view(known: Optional[NetworkSnapshot], snapshot: NetworkSnapshot) -> 
     return known
 
 
-def _greedy_next_hop(snapshot, known, row, dest, exclude, ez=None) -> Optional[int]:
+def _greedy_next_hop(snapshot, known, v_id, dest, exclude, ez=None) -> Optional[int]:
+    """:func:`_choose_hop` from ``v_id``, past the ``exclude`` entries that name a vehicle."""
+    row, known, n = snapshot.row(v_id), _known_view(known, snapshot), len(snapshot)
+    skip = [row, *(int(v) for v in exclude if 0 <= v < n and v % 1 == 0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _choose_hop(snapshot, known, row, dest, skip, ez)
+
+
+def _choose_hop(snapshot, known, row, dest, skip, ez=None) -> Optional[int]:
     """The compass choice shared by DIR and D-LAR: the row of forwarder
     ``row``'s next hop toward position ``dest``, or None.
 
-    Candidates are the forwarder's neighbors outside ``exclude`` (entries
-    naming no vehicle exclude nothing), except where their ``known``
-    position is the forwarder's true one, which gives no direction.  With an
-    expected zone ``ez`` (D-LAR), candidates must lie inside the request
-    zone anchored at the forwarder, and those heading within pi/2 of it are
-    preferred when there are any.  The winner minimises (deviation angle
-    toward ``dest``, distance to ``dest``, row).
+    Candidates are the forwarder's neighbors outside the rows ``skip`` (the
+    forwarder among them), except where their ``known`` position is the
+    forwarder's true one, which gives no direction.  With an expected zone
+    ``ez`` (D-LAR), candidates must lie inside the request zone anchored at
+    the forwarder, and those heading within pi/2 of it are preferred when
+    there are any (by compares where all headings lie in [-pi, pi]).  The
+    winner minimises (deviation angle toward ``dest``, distance to ``dest``, row).
 
     The pool's angles are computed as arrays from the products
     :func:`deviation_angle` forms; numpy's ``arctan2`` may differ from
     ``math.atan2`` by an ulp, so the candidates within a relative 2**-40
     (plus 2**-1000) of the least angle are settled by the exact scalar key.
-    A product that overflows makes the cut NaN, which keeps every candidate.
+    A product that overflows makes the cut NaN, which keeps every candidate
+    (the caller ignores overflow and invalid operations).
     """
     hx, hy = snapshot.x.item(row), snapshot.y.item(row)
     if dest.x == hx and dest.y == hy:
         raise ValueError("destination position coincides with the forwarder")
-    n = len(snapshot)
-    skip = [row, *(int(v) for v in exclude if 0 <= v < n and v % 1 == 0)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _near(snapshot, hx, hy, skip)
-        x, y = known.x[rows], known.y[rows]
-        keep = (x != hx) | (y != hy)
-        if ez is not None:
-            # The request zone anchored here, bound for bound as request_zone builds it.
-            c, r = ez.center, ez.radius
-            keep &= ((min(hx, c.x - r) <= x) & (x <= max(hx, c.x + r))
-                     & (min(hy, c.y - r) <= y) & (y <= max(hy, c.y + r)))
-            turn = snapshot.heading[rows] - snapshot.heading.item(row)
-            aligned = keep & (np.abs(wrap_angle(turn)) <= HALF_PI)
-            keep = aligned if aligned.any() else keep
-        x, y, rows = x[keep], y[keep], rows[keep]
-        if not len(rows):
-            return None
-        ux, uy, vx, vy = x - hx, y - hy, dest.x - hx, dest.y - hy
-        angle = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        near = (~(angle > angle.min() * (1 + 2**-40) + 2**-1000)).nonzero()[0]
+    rows = _near(snapshot, hx, hy, skip)
+    x, y = known.x[rows], known.y[rows]
+    keep = (x != hx) | (y != hy)
+    if ez is not None:
+        # The request zone anchored here, bound for bound as request_zone builds it.
+        c, r = ez.center, ez.radius
+        keep &= ((min(hx, c.x - r) <= x) & (x <= max(hx, c.x + r))
+                 & (min(hy, c.y - r) <= y) & (y <= max(hy, c.y + r)))
+        turn = snapshot.heading[rows] - snapshot.heading.item(row)
+        aligned = keep & ((((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR))
+                          if snapshot._headings_in_pi else (np.abs(wrap_angle(turn)) <= HALF_PI))
+        keep = aligned if aligned.any() else keep
+    x, y, rows = x[keep], y[keep], rows[keep]
+    if not len(rows):
+        return None
+    ux, uy, vx, vy = x - hx, y - hy, dest.x - hx, dest.y - hy
+    angle = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
+    near = (~(angle > angle.min() * (1 + 2**-40) + 2**-1000)).nonzero()[0]
     if len(near) == 1:
         return rows.item(near[0])
     here = Position(hx, hy)
@@ -235,9 +255,7 @@ def dir_next_hop(
     (default: ``snapshot``).  Ties break toward the smaller distance to the
     destination, then the smaller id.  Returns None when no candidate exists.
     """
-    return _greedy_next_hop(
-        snapshot, _known_view(known, snapshot), snapshot.row(v_id), dest_pos, exclude
-    )
+    return _greedy_next_hop(snapshot, known, v_id, dest_pos, exclude)
 
 
 def dlar_next_hop(
@@ -257,9 +275,7 @@ def dlar_next_hop(
     zone candidate when none is aligned.  Ties break as in
     :func:`dir_next_hop`.
     """
-    return _greedy_next_hop(
-        snapshot, _known_view(known, snapshot), snapshot.row(v_id), ez.center, exclude, ez
-    )
+    return _greedy_next_hop(snapshot, known, v_id, ez.center, exclude, ez)
 
 
 def lar_route_discovery(
@@ -359,7 +375,6 @@ def route(
     if known_time is not None and known_time > now:
         raise ValueError(f"known_time must be <= now, got {known_time!r} > {now!r}")
     known = _known_view(known, snapshot)
-    x, y = snapshot.x, snapshot.y
     dest_last = Position(float(known.x[dst]), float(known.y[dst]))
     t0 = now if known_time is None else known_time
     ez = expected_zone(dest_last, float(snapshot.speed[dst]), t0, now)
@@ -367,23 +382,21 @@ def route(
         return RouteResult(Outcome.DELIVERED, (src,))
     if protocol == "lar":
         return lar_route_discovery(source_id, dest_id, snapshot, ez, ttl)
+    x, y = snapshot.x, snapshot.y
     tx, ty = x.item(dst), y.item(dst)
-    path = [src]
-    while True:
-        row = path[-1]
-        hx, hy = x.item(row), y.item(row)
-        # len(path) - 1 hops are spent; the direct final hop needs budget too.
-        if len(path) - 1 == ttl:
-            return RouteResult(Outcome.TTL_DROP, tuple(path))
-        if math.hypot(tx - hx, ty - hy) <= snapshot.transmission_range:  # geometry.distance
-            return RouteResult(Outcome.DELIVERED, (*path, dst))
-        if dest_last.x == hx and dest_last.y == hy:
-            # Stale knowledge led exactly onto the destination's old spot;
-            # there is no direction left to steer by.
-            return RouteResult(Outcome.VOID_DROP, tuple(path))
-        nxt = _greedy_next_hop(
-            snapshot, known, row, dest_last, path, ez if protocol == "dlar" else None
-        )
-        if nxt is None:
-            return RouteResult(Outcome.VOID_DROP, tuple(path))
-        path.append(nxt)
+    path = np.empty(min(ttl + 1, len(snapshot)), dtype=np.intp)  # a path never revisits a row
+    path[0], hops, ez = src, 0, ez if protocol == "dlar" else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while hops < ttl:  # the direct final hop needs budget too
+            row = path.item(hops)
+            hx, hy = x.item(row), y.item(row)
+            if math.hypot(tx - hx, ty - hy) <= snapshot.transmission_range:  # geometry.distance
+                return RouteResult(Outcome.DELIVERED, (*path[:hops + 1].tolist(), dst))
+            if dest_last.x == hx and dest_last.y == hy:
+                break  # stale knowledge led onto the destination's old spot: no direction left
+            if (nxt := _choose_hop(snapshot, known, row, dest_last, path[:hops + 1], ez)) is None:
+                break
+            hops += 1
+            path[hops] = nxt
+    outcome = Outcome.TTL_DROP if hops == ttl else Outcome.VOID_DROP
+    return RouteResult(outcome, tuple(path[:hops + 1].tolist()))

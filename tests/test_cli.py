@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -353,3 +354,41 @@ def test_work_caps_are_inclusive():
     AnalyzeConfig(densities=(1e-4, 2e-4), k_max=MAX_ANALYZE_ROWS // 4).validate()
     with pytest.raises(ValueError, match="k_max"):
         AnalyzeConfig(densities=(1e-4, 2e-4), k_max=MAX_ANALYZE_ROWS // 4 + 1).validate()
+
+
+LATENCY_OVERFLOW = ["per_hop_latency_ms=1e308", "node_count=400", "flows=5",
+                    "field_width=2000", "field_height=2000"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *LATENCY_OVERFLOW],
+        ["compare", *LATENCY_OVERFLOW],
+        ["simulate", "--sweep", "per_hop_latency_ms=1:1e308:3", "node_count=40", "flows=2"],
+        ["simulate", "per_hop_latency_ms=1e300", "ttl=100000000000"],
+        ["simulate", "per_hop_latency_ms=1e-300", "ttl=1" + "0" * 400],
+    ],
+)
+def test_unbounded_delay_is_a_config_error(capsys, argv):
+    # The mean delay is at most per_hop_latency_ms * ttl; a config whose bound
+    # is not finite once printed mean_delay_ms as inf and exited 0.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "per_hop_latency_ms" in err
+
+
+def test_delay_bound_is_inclusive(capsys):
+    largest = sys.float_info.max
+    SimConfig(per_hop_latency_ms=largest, ttl=1).validate()
+    SimConfig(per_hop_latency_ms=largest / 64, ttl=64).validate()
+    for ttl in (2, 10**400):
+        with pytest.raises(ValueError, match="per_hop_latency_ms"):
+            SimConfig(per_hop_latency_ms=largest, ttl=ttl).validate()
+    code, out, _ = run_cli(capsys, "simulate", *ADJACENT_PAIR, f"per_hop_latency_ms={largest!r}",
+                           "ttl=1")
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert row["mean_hops"] == "1.000000"
+    assert float(row["mean_delay_ms"]) == largest

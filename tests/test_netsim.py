@@ -394,6 +394,46 @@ class TestMotionBits:
             assert max(gaps) <= 4 * np.spacing(2 * math.pi)
 
 
+class TestCampaignMoves:
+    """A campaign's moves skip NetworkSnapshot's checks, which its validated
+    travel makes redundant, and mirror headings by row index."""
+
+    @pytest.mark.parametrize("t", [0.5, 7.5, 60.0, -0.3, 1e4])
+    def test_unchecked_move_is_the_checked_one(self, t):
+        width, height = 2000.0, 1500.0
+        start = generate_nodes(SimConfig(field_width=width, field_height=height,
+                                         node_count=4000, seed=22))
+        trig = np.cos(start.heading), np.sin(start.heading)
+        checked = netsim._moved(start, t, width, height, *trig)
+        moved = netsim._moved(start, t, width, height, *trig, False)
+        for name in ("x", "y", "heading"):
+            got, want = getattr(moved, name), getattr(checked, name)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
+        assert moved.speed is start.speed
+        assert moved.transmission_range == start.transmission_range
+        assert moved._headings_in_pi and checked._headings_in_pi
+        if t == 60.0:  # many vehicles reflect, on both axes
+            assert (moved.heading != start.heading).mean() > 0.2
+
+    def test_a_campaign_checks_only_its_placement(self, monkeypatch):
+        checked = []
+        snapshot = netsim.NetworkSnapshot
+        monkeypatch.setattr(netsim, "NetworkSnapshot",
+                            lambda *columns: checked.append(columns) or snapshot(*columns))
+        config = small_config(duration=30.0, flows=20, time_step=0.4, beacon_interval=1.7)
+        assert run_campaign(config, PROTOCOLS) == run_campaign(config, PROTOCOLS)
+        assert len(checked) == 2  # one placement per run
+
+    def test_public_moves_keep_their_checks(self):
+        snap = make_snapshot([(10, 10)], 100, speeds={0: 1e300}, headings={0: 0.5})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                step_mobility(snap, 1e10, 100, 100)
+            with pytest.raises(ValueError, match="finite"):
+                beacon_view(snap, 1e10 - 1.0, 1e10, 100, 100)
+
+
 class TestBeaconView:
     def test_exact_tick_equals_ground_truth(self):
         snap = make_snapshot([(100, 50)], 100, speeds={0: 10.0})

@@ -12,6 +12,7 @@ from geo_route_sim.geometry import Position, distance, wrap_angle
 from geo_route_sim.netsim import SimConfig, generate_nodes
 from geo_route_sim.routing import (
     DEFAULT_TTL,
+    HALF_PI,
     NetworkSnapshot,
     Outcome,
     dir_next_hop,
@@ -127,6 +128,142 @@ class TestSquaredScale:
         with np.errstate(over="ignore"):
             got = routing._squared(reach, dx.copy(), dy.copy())[0]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestRangeAtTheUlp:
+    """Pairs at distance R and R ± k ulp, along random directions and at
+    scales from subnormal to 1e300, against ``math.hypot``: the net under the
+    unscaled squares between 2**-500 and 2**500 and the scaled ones outside."""
+
+    @staticmethod
+    def nudged(value, k):
+        for _ in range(abs(k)):
+            value = math.nextafter(value, math.inf if k > 0 else 0.0)
+        return value
+
+    @given(
+        st.one_of(
+            st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 997)),
+            # Both sides of the unscaled branch's edges, where squares go subnormal or overflow.
+            st.sampled_from([5e-324, 1e-310, 2.0**-530, 2.0**-500, math.nextafter(2.0**-500, 0.0),
+                             0.1 + 0.2, 250.0, 2.0**500, math.nextafter(2.0**500, math.inf),
+                             2.0**530, 1e300]),
+        ),
+        st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+        st.lists(st.tuples(
+            st.integers(-4, 4),
+            st.one_of(st.floats(-math.pi, math.pi),
+                      st.sampled_from([0.0, HALF_PI, math.pi, -HALF_PI, math.pi / 4])),
+        ), min_size=1, max_size=12),
+    )
+    def test_membership_equals_hypot(self, reach, center, spokes):
+        cx, cy = center[0] * reach, center[1] * reach
+        points = [(cx, cy)] + [
+            (cx + d * math.cos(t), cy + d * math.sin(t))
+            for d, t in ((self.nudged(reach, k), t) for k, t in spokes)
+        ]
+        snap = make_snapshot(points, reach)
+        x, y = snap.x.tolist(), snap.y.tolist()
+        want = np.array([[math.hypot(bx - ax, by - ay) <= reach for bx, by in zip(x, y)]
+                         for ax, ay in zip(x, y)])
+        rows = np.arange(len(points))
+        assert np.array_equal(routing._within(snap, rows, rows), want)
+        for i in rows.tolist():
+            near = [j for j in rows.tolist() if j != i and want[i, j]]
+            assert neighbors(i, snap) == near
+            with np.errstate(over="ignore"):
+                assert routing._near(snap, x[i], y[i], i).tolist() == near
+
+
+class TestHeadingIntervals:
+    """D-LAR's heading test as compares, against the wrap it replaces, for
+    headings in [-pi, pi] (turns in [-2pi, 2pi])."""
+
+    THRESHOLDS = [routing._TURN_LO, HALF_PI, routing._TURN_FAR, -routing._TURN_FAR]
+
+    @staticmethod
+    def by_compares(turn):
+        turn = np.asarray(turn, dtype=float)
+        return (((routing._TURN_LO <= turn) & (turn <= HALF_PI))
+                | (np.abs(turn) >= routing._TURN_FAR))
+
+    @staticmethod
+    def by_wrap(turn):
+        return np.abs(wrap_angle(np.asarray(turn, dtype=float))) <= HALF_PI
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_every_double_near_a_threshold(self, threshold):
+        bits = np.array([threshold]).view(np.int64)[0]
+        turn = np.arange(bits - 2**16, bits + 2**16 + 1, dtype=np.int64).view(np.float64)
+        assert np.abs(turn).max() <= 2 * math.pi
+        got = self.by_compares(turn)
+        assert np.array_equal(got, self.by_wrap(turn))
+        assert got.any() and not got.all()  # the test flips inside the window
+
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                         HALF_PI, -HALF_PI, math.nextafter(HALF_PI, 0.0), 3.0, -3.0]),
+    )] * 2), min_size=1, max_size=50))
+    def test_heading_pairs_in_pi(self, pairs):
+        a, b = (np.array(c) for c in zip(*pairs))
+        turn = a - b
+        assert np.array_equal(self.by_compares(turn), self.by_wrap(turn))
+
+    @staticmethod
+    def forwarder_and_probe(turn):
+        """Headings (forwarder, probe) in [-pi, pi] whose difference is ``turn`` exactly."""
+        if abs(turn) <= math.pi:
+            return 0.0, turn
+        here = -math.pi if turn > 0 else math.pi
+        return here, turn + here  # Sterbenz: exact, as is probe - here
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_hop_at_a_threshold_matches_the_wrap(self, threshold, k):
+        # Probe 1 has the worse angle to the destination, row 2 the better one
+        # and the opposite heading: the hop takes 1 exactly when it is aligned.
+        turn = TestRangeAtTheUlp.nudged(threshold, k if threshold > 0 else -k)
+        here, probe = self.forwarder_and_probe(turn)
+        assert probe - here == turn and abs(probe) <= math.pi
+        opposite = here - math.pi if here > 0 else here + math.pi
+        snap = make_snapshot([(0, 0), (90, 15), (100, 0)], 120,
+                             headings={0: here, 1: probe, 2: opposite})
+        assert snap._headings_in_pi
+        ez = expected_zone(Position(200, 0), 5.0, 0.0, 4.0)
+        want = oracles.greedy_by_scalar_min(
+            snap, snap, 0, Position(0, 0), here, ez.center, [], request_zone(Position(0, 0), ez)
+        )
+        assert want == (1 if self.by_wrap(turn) else 2)
+        assert dlar_next_hop(0, ez, snap) == want
+
+    def test_headings_outside_pi_keep_the_wrap(self, monkeypatch):
+        wraps = []
+
+        def spy(turn):
+            wraps.append(len(turn))
+            return wrap_angle(turn)
+
+        monkeypatch.setattr(routing, "wrap_angle", spy)
+        rng = random.Random(22)
+        # Headings within 2pi still give turns past 2pi, where the compares go wrong.
+        for headings, in_pi in (([10.0, -7.0, 1e6, 0.3, -2.5], False), ([4.0, -5.0, 3.5, -3.5], False),
+                                ([0.3, -2.5, math.pi], True)):
+            points = [(rng.uniform(0, 600), rng.uniform(0, 600)) for _ in range(60)]
+            snap = make_snapshot(points, 150.0, headings={
+                i: rng.choice(headings) for i in range(len(points))})
+            assert snap._headings_in_pi is in_pi
+            wraps.clear()
+            for _ in range(40):
+                row, dst = rng.sample(range(len(points)), 2)
+                here, dest = position(snap, row), position(snap, dst)
+                ez = expected_zone(dest, rng.choice([0.0, 5.0, 40.0]), 0.0, 2.0)
+                want = oracles.greedy_by_scalar_min(
+                    snap, snap, row, here, snap.heading.item(row), ez.center, [],
+                    request_zone(here, ez),
+                )
+                assert dlar_next_hop(row, ez, snap) == want
+            assert bool(wraps) is not in_pi
 
 
 class TestDirNextHop:

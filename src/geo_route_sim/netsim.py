@@ -167,14 +167,18 @@ def _placed(config: SimConfig, placement_rng, motion_rng) -> NetworkSnapshot:
 def _fold(u: np.ndarray, period: float) -> np.ndarray:
     """``np.mod(u, period)`` bit for bit, in place and faster (``period`` > 0).
 
-    ``fmod``, the slow step, runs only when some ``|u| >= period``:
-    elsewhere ``fmod(u, period)`` is ``u`` itself, ``-0.0`` included.  Then
-    ``period`` is added where the remainder is negative, as ``mod`` does, and
-    ``0.0`` elsewhere, which turns ``-0.0`` into ``mod``'s ``+0.0`` and keeps
-    every other value.  No step is masked: a ``where=`` pass over a
-    scattered mask is slower than the whole pass.
+    ``fmod``, the slow step, runs only when the largest ``|u|`` is at least
+    ``period``: elsewhere ``fmod(u, period)`` is ``u`` itself, ``-0.0``
+    included.  Then ``period`` is added where the remainder is negative, as
+    ``mod`` does, and ``0.0`` elsewhere, which turns ``-0.0`` into ``mod``'s
+    ``+0.0`` and keeps every other value.  No step is masked: a ``where=``
+    pass over a scattered mask is slower than the whole pass.  A ``u`` that
+    is not finite, as an overflowing unfold gives, raises ValueError.
     """
-    if (np.abs(u) >= period).any():
+    most = np.abs(u).max(initial=0.0)
+    if not most < math.inf:
+        raise ValueError(f"an unfolded coordinate must be finite, got {most!r}")
+    if most >= period:
         np.fmod(u, period, out=u)
     u += np.where(u < 0.0, period, 0.0)
     return u
@@ -189,11 +193,10 @@ def _wrapped(heading: np.ndarray) -> np.ndarray:
 
 
 def _moved(start: NetworkSnapshot, t: float, width: float, height: float, cos: np.ndarray,
-           sin: np.ndarray, checked: bool = True) -> NetworkSnapshot:
+           sin: np.ndarray) -> NetworkSnapshot:
     """``start`` ``t`` seconds on (``t`` may be negative), every vehicle
     moving along a straight line that reflects off the field edges; ``cos``
     and ``sin`` are those of ``start.heading``, which a campaign takes once.
-    Unless ``checked`` (a campaign: validated travel keeps it finite), it skips the checks.
 
     Each axis is a triangle wave: the unfolded coordinate ``u`` taken mod 2W
     lies on the outbound leg when ``u <= W`` and on the mirrored leg, at
@@ -201,6 +204,9 @@ def _moved(start: NetworkSnapshot, t: float, width: float, height: float, cos: n
     reversed.  The position is ``min(u, 2W - u)``, which picks that leg
     exactly: above W the difference is exact (Sterbenz), and below W it
     rounds to at least W.
+
+    The move skips :class:`NetworkSnapshot`'s checks, which it meets: :func:`_fold` raises
+    unless the positions are finite (2W and 2H are), and wrapped headings lie in [-pi, pi].
     """
     speed = start.speed
     ux = _fold(start.x + speed * t * cos, 2.0 * width)
@@ -211,12 +217,17 @@ def _moved(start: NetworkSnapshot, t: float, width: float, height: float, cos: n
     heading[on_y] = -heading[on_y]
     np.minimum(ux, 2.0 * width - ux, out=ux)
     np.minimum(uy, 2.0 * height - uy, out=uy)
-    if checked:
-        return NetworkSnapshot(start.transmission_range, ux, uy, speed, _wrapped(heading))
-    moved = copy.copy(start)  # start and moved are wrapped: the copied _headings_in_pi holds
+    moved = copy.copy(start)
     moved.x, moved.y, moved.heading = ux, uy, _wrapped(heading)
+    moved._headings_in_pi = True  # every wrapped heading lies in [-pi, pi]
     ux.flags.writeable = uy.flags.writeable = heading.flags.writeable = False
     return moved
+
+
+def _field_sizes(width: float, height: float) -> dict:
+    """The field sizes and their doubles, the periods a move folds by, by name."""
+    return {"field_width": width, "field_height": height,
+            "2 * field_width": 2.0 * width, "2 * field_height": 2.0 * height}
 
 
 def _trig(snapshot: NetworkSnapshot) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +242,7 @@ def step_mobility(
     Vehicles crossing a field boundary reflect: the position folds back inside
     and the heading mirrors on the violated axis.  Speeds are untouched.
     """
-    _check_positive(dt=dt, field_width=field_width, field_height=field_height)
+    _check_positive(dt=dt, **_field_sizes(field_width, field_height))
     return _moved(snapshot, dt, field_width, field_height, *_trig(snapshot))
 
 
@@ -257,9 +268,7 @@ def beacon_view(
     """
     if not math.isfinite(sim_time):
         raise ValueError(f"sim_time must be finite, got {sim_time!r}")
-    _check_positive(
-        beacon_interval=beacon_interval, field_width=field_width, field_height=field_height
-    )
+    _check_positive(beacon_interval=beacon_interval, **_field_sizes(field_width, field_height))
     lag = sim_time - _beacon_tick(sim_time, beacon_interval)
     return _moved(snapshot, -lag, field_width, field_height, *_trig(snapshot)) if lag else snapshot
 
@@ -322,7 +331,7 @@ def run_campaign(
         if fired != step:
             step, sim_time = fired, fired * config.time_step
             tick = _beacon_tick(sim_time, config.beacon_interval)
-            built = {t: built[t] if t in built else _moved(start, t, width, height, *trig, False)
+            built = {t: built[t] if t in built else _moved(start, t, width, height, *trig)
                      for t in sorted({tick, sim_time})}
             snapshot, view = built[sim_time], built[tick]
         si = int(flow_rng.integers(len(start)))

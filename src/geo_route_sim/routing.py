@@ -12,6 +12,7 @@ A vehicle's id is its row in the snapshot's columns.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -39,7 +40,8 @@ class NetworkSnapshot:
     Motion state lives in read-only 1-D numpy columns ``x``, ``y``, ``speed``
     and ``heading`` of one length; vehicle ``i`` is row ``i``.  Positions and
     headings are finite, speeds finite and >= 0.  Numpy columns of the right
-    type are used without a copy and made read-only.
+    type are used without a copy and made read-only.  ``_headings_in_pi``,
+    whether every heading lies in [-pi, pi], is found on first use.
     """
 
     def __init__(self, transmission_range: float, x, y, speed, heading):
@@ -56,7 +58,10 @@ class NetworkSnapshot:
             column.flags.writeable = False
         self.transmission_range = float(transmission_range)
         self.x, self.y, self.speed, self.heading = x, y, speed, heading
-        self._headings_in_pi = bool((np.abs(heading) <= math.pi).all())
+
+    @cached_property
+    def _headings_in_pi(self) -> bool:
+        return bool((np.abs(self.heading) <= math.pi).all())
 
     def row(self, v_id: int) -> int:
         """Row of vehicle ``v_id``: the id itself, checked to be a whole number in [0, len)."""
@@ -94,45 +99,33 @@ class RouteResult:
         return len(self.path) - 1
 
 
-def _squared(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Scaled squares of the differences ``dx``, ``dy`` (overwritten), and the
-    band ``(lo, hi)``: a square above ``hi`` is out of range, below ``lo`` in.
-
-    Membership equals ``distance(a, b) <= R`` exactly, for every range.  With
-    ``R = m * 2**e`` (``0.5 <= m < 1``), the coordinate differences are
-    scaled by ``2**-e`` before squaring, so ``R**2`` becomes ``m**2`` and can
-    neither overflow nor go subnormal.  The scale is a product with the
-    double ``2**-e``: the product and ``ldexp`` both round the exact
-    ``d * 2**-e`` once, so they give the same bits, and the product is the
-    cheaper.  Only below R = 2**-1024 is ``2**-e`` no double, and there
-    ``ldexp`` scales.  The squared distance then carries at most a 3-ulp
-    rounding error, against the 1-ulp error of ``math.hypot``, so the two
-    can disagree only when d² lies within a relative 2**-50 of R²; pairs
-    within 2**-48 of it are settled by :func:`distance`.  Below the normal
-    range an ulp of ``math.hypot`` is 2**-1074 however small R is, and the
-    band widens to match.  The caller ignores overflow: a square that
-    overflows to inf lies far outside any finite range.
-    """
-    m, e = math.frexp(reach)
-    for d in (dx, dy):
-        if e > -1024:
-            d *= math.ldexp(1.0, -e)
-        else:
-            np.ldexp(d, -e, out=d)
-        d *= d
-    dx += dy
-    r2, band = m * m, max(2.0**-48, 2.0**-1070 / reach)
-    return dx, r2 * (1.0 - band), r2 * (1.0 + band)
-
-
 def _squares(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """:func:`_squared` without the scale, two passes fewer, for R in [2**-500, 2**500]: there
-    R² and the band are normal, and a square rounds as the scaled one, overflows to inf far
-    out of range, or is subnormal and errs by at most 2**-1075 (2**-74 R²), inside the band."""
+    """Squares of the differences ``dx``, ``dy`` (overwritten), scaled with the range,
+    and the band ``(lo, hi)``: a square above ``hi`` is out of range, below ``lo`` in.
+
+    Membership equals ``distance(a, b) <= R`` exactly, for every range.  For R in
+    [2**-500, 2**500], R² and the band are normal, and an unscaled square rounds as a
+    scaled one, overflows to inf far out of range, or is subnormal and errs by at most
+    2**-1075 (2**-74 R²), inside the band.  Outside that span, with ``R = m * 2**e``
+    (``0.5 <= m < 1``), the differences are multiplied by the double ``2**-e``, so R²
+    becomes ``m**2`` and can neither overflow nor go subnormal; the product rounds the
+    exact ``d * 2**-e`` once, as ``ldexp`` does, which scales below R = 2**-1024, where
+    ``2**-e`` is no double.  A square errs by at most 3 ulps, against the 1 ulp of
+    ``math.hypot``, so the two can disagree only within a relative 2**-50 of R²; pairs
+    within 2**-48 of it are settled by :func:`distance`.  Below the normal range an ulp
+    of ``math.hypot`` is 2**-1074 however small R is, and the band widens to match.  The
+    caller ignores overflow: a square that overflows to inf lies far outside any range.
+    """
+    band = max(2.0**-48, 2.0**-1070 / reach)
     if not 2.0**-500 <= reach <= 2.0**500:
-        return _squared(reach, dx, dy)
+        reach, e = math.frexp(reach)  # reach becomes m, the range scaled into [0.5, 1)
+        for d in (dx, dy):
+            if e > -1024:
+                d *= math.ldexp(1.0, -e)
+            else:
+                np.ldexp(d, -e, out=d)
     d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
-    return d2, reach * reach * (1.0 - 2.0**-48), reach * reach * (1.0 + 2.0**-48)
+    return d2, reach * reach * (1.0 - band), reach * reach * (1.0 + band)
 
 
 def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:

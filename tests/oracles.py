@@ -295,7 +295,7 @@ def moved_by_mod(start: NetworkSnapshot, t, width, height, cos, sin):
 
 
 def squared_by_ldexp(reach, dx, dy):
-    """The scaled squared distances of ``routing._squared`` as first written:
+    """The scaled squared distances of ``routing._squares`` as first written:
     each difference scaled by ``np.ldexp`` before squaring."""
     e = math.frexp(reach)[1]
     with np.errstate(over="ignore"):

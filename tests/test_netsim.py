@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from geo_route_sim.netsim import (
     step_mobility,
 )
 from geo_route_sim.cli import _campaign_csv
-from geo_route_sim.routing import PROTOCOLS, NetworkSnapshot
+from geo_route_sim.routing import HALF_PI, PROTOCOLS, NetworkSnapshot
 from oracles import make_snapshot, position, snapshot_digest
 
 
@@ -128,6 +129,34 @@ class TestStepMobility:
         sizes = {"field_width": 1000.0, "field_height": 1000.0, name: size}
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
             step_mobility(snap, 0.5, sizes["field_width"], sizes["field_height"])
+
+    @pytest.mark.parametrize("headings", [[math.pi, 0.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("name", ["field_width", "field_height"])
+    def test_rejects_a_field_whose_double_overflows(self, name, headings):
+        # Twice the size is the period a move folds by.  An infinite period
+        # turned a vehicle moving toward 0 into NaN and left one moving away
+        # untouched.
+        snap = NetworkSnapshot(100.0, [10.0, 20.0], [10.0, 10.0], [1.0, 1.0], headings)
+        sizes = {"field_width": 1000.0, "field_height": 1000.0, name: 1e308}
+        size = (sizes["field_width"], sizes["field_height"])
+        with pytest.raises(ValueError, match=rf"^2 \* {name} must be finite"):
+            step_mobility(snap, 20.0, *size)
+        with pytest.raises(ValueError, match=rf"^2 \* {name} must be finite"):
+            beacon_view(snap, 20.5, 1.0, *size)
+        with pytest.raises(ValueError, match=r"^2 \* field_width must be finite"):
+            step_mobility(snap, 1.0, 1e308, 1e308)
+
+    @pytest.mark.parametrize("headings", [[math.pi, 0.0], [0.0, 0.0], [-HALF_PI, HALF_PI]])
+    def test_largest_field_is_accepted(self, headings):
+        size = sys.float_info.max / 2
+        start = NetworkSnapshot(100.0, [10.0, 20.0], [10.0, 10.0], [1.0, 1.0], headings)
+        trig = np.cos(start.heading), np.sin(start.heading)
+        for t, snap in ((20.0, step_mobility(start, 20.0, size, size)),
+                        (-0.5, beacon_view(start, 20.5, 1.0, size, size))):
+            for got, want in zip((snap.x, snap.y, snap.heading),
+                                 oracles.moved_by_mod(start, t, size, size, *trig)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert ((0.0 <= snap.x) & (snap.x <= size) & (0.0 <= snap.y) & (snap.y <= size)).all()
 
 
 def heading_gap(a, b):
@@ -280,6 +309,12 @@ class TestMotionBits:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_fold_raises_where_a_coordinate_is_not_finite(self, bad):
+        u = np.array([1.0, -3.0, bad, 2.5])
+        with pytest.raises(ValueError, match="finite"):
+            netsim._fold(u, 800.0)
+
     @staticmethod
     def assert_same_bits(got, want):
         got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -395,8 +430,8 @@ class TestMotionBits:
 
 
 class TestCampaignMoves:
-    """A campaign's moves skip NetworkSnapshot's checks, which its validated
-    travel makes redundant, and mirror headings by row index."""
+    """Every move skips NetworkSnapshot's checks, which it meets by
+    construction, and mirrors headings by row index."""
 
     @pytest.mark.parametrize("t", [0.5, 7.5, 60.0, -0.3, 1e4])
     def test_unchecked_move_is_the_checked_one(self, t):
@@ -404,8 +439,12 @@ class TestCampaignMoves:
         start = generate_nodes(SimConfig(field_width=width, field_height=height,
                                          node_count=4000, seed=22))
         trig = np.cos(start.heading), np.sin(start.heading)
-        checked = netsim._moved(start, t, width, height, *trig)
-        moved = netsim._moved(start, t, width, height, *trig, False)
+        moved = netsim._moved(start, t, width, height, *trig)
+        assert vars(moved)["_headings_in_pi"] is True  # set by the move, not computed
+        # Rebuilt from its columns, the moved snapshot passes the checks and
+        # finds the flag itself.
+        checked = NetworkSnapshot(moved.transmission_range, *(
+            getattr(moved, name).copy() for name in ("x", "y", "speed", "heading")))
         for name in ("x", "y", "heading"):
             got, want = getattr(moved, name), getattr(checked, name)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from geo_route_sim import routing
-from geo_route_sim.geometry import Position, distance, wrap_angle
-from geo_route_sim.netsim import SimConfig, generate_nodes
+from geo_route_sim.geometry import Position, deviation_angle, distance, wrap_angle
+from geo_route_sim.netsim import SimConfig, generate_nodes, step_mobility
 from geo_route_sim.routing import (
     DEFAULT_TTL,
     HALF_PI,
@@ -111,7 +111,8 @@ class TestNeighbors:
 
 class TestSquaredScale:
     # One range per binade class: the least subnormal, the edge below which
-    # 2**-e is no double, a subnormal, 1, the top binades and inf.
+    # 2**-e is no double, a subnormal, 1, the top binades and inf.  Only
+    # ranges outside [2**-500, 2**500] are scaled.
     RANGES = [5e-324, 2.0**-1024, math.nextafter(2.0**-1024, 0.0), 2.0**-1023, 1e-310, 1.0,
               250.0, 2.0**1022, 1.7e308, math.inf]
 
@@ -124,9 +125,10 @@ class TestSquaredScale:
     )
     def test_scaled_squares_equal_ldexp_bit_for_bit(self, reach, pairs):
         dx, dy = (np.array(c) for c in zip(*pairs))
-        want = oracles.squared_by_ldexp(reach, dx, dy)
         with np.errstate(over="ignore"):
-            got = routing._squared(reach, dx.copy(), dy.copy())[0]
+            want = (dx * dx + dy * dy if 2.0**-500 <= reach <= 2.0**500
+                    else oracles.squared_by_ldexp(reach, dx, dy))
+            got = routing._squares(reach, dx.copy(), dy.copy())[0]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -173,6 +175,32 @@ class TestRangeAtTheUlp:
             assert neighbors(i, snap) == near
             with np.errstate(over="ignore"):
                 assert routing._near(snap, x[i], y[i], i).tolist() == near
+
+    @given(
+        st.one_of(
+            st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 997)),
+            st.sampled_from([5e-324, 1e-310, 2.0**-530, 2.0**-500, math.nextafter(2.0**-500, 0.0),
+                             250.0, 2.0**500, math.nextafter(2.0**500, math.inf), 2.0**530,
+                             1e300]),
+        ),
+        st.lists(st.tuples(st.integers(0, 20), st.integers(-4, 4), st.floats(-math.pi, math.pi)),
+                 min_size=1, max_size=16),
+        st.sampled_from([0.0, 0.5, 2.0, 40.0]),
+    )
+    def test_flood_matches_the_per_relay_flood(self, reach, steps, spread):
+        # A tree of relays, each at R + k ulp from an earlier one, so that
+        # every level of the flood turns on pairs at the range.
+        points = [(0.0, 0.0)]
+        for parent, k, t in steps:
+            px, py = points[parent % len(points)]
+            d = self.nudged(reach, k)
+            points.append((px + d * math.cos(t), py + d * math.sin(t)))
+        snap = make_snapshot(points, reach)
+        dst = len(points) - 1
+        ez = expected_zone(position(snap, dst), spread * reach, 0.0, 1.0)
+        for ttl in (1, 2, 3, 5, 64):
+            want = oracles.lar_flood_by_relay(0, dst, snap, ez, ttl)
+            assert lar_route_discovery(0, dst, snap, ez, ttl) == want
 
 
 class TestHeadingIntervals:
@@ -236,6 +264,38 @@ class TestHeadingIntervals:
         )
         assert want == (1 if self.by_wrap(turn) else 2)
         assert dlar_next_hop(0, ez, snap) == want
+
+    def test_the_flag_is_found_on_first_use(self):
+        for headings, in_pi in (({0: 10.0, 1: 0.3}, False), ({0: -math.pi, 1: 0.3}, True)):
+            snap = make_snapshot([(0, 0), (90, 15)], 120, headings=headings)
+            assert "_headings_in_pi" not in vars(snap)  # headings read for finiteness only
+            assert snap._headings_in_pi is in_pi
+            assert vars(snap)["_headings_in_pi"] is in_pi
+
+    def test_moved_headings_take_the_compares(self, monkeypatch):
+        # A move wraps every heading into [-pi, pi], so D-LAR's hops on a
+        # moved snapshot take the compares, also where the start kept the wrap.
+        wraps = []
+        monkeypatch.setattr(routing, "wrap_angle", lambda t: wraps.append(t) or wrap_angle(t))
+        rng = random.Random(23)
+        points = [(rng.uniform(0, 600), rng.uniform(0, 600)) for _ in range(60)]
+        start = make_snapshot(points, 150.0,
+                              headings={i: rng.choice([10.0, -7.0, 1e6]) for i in range(60)},
+                              speeds={i: rng.uniform(0.0, 20.0) for i in range(60)})
+        assert not start._headings_in_pi
+        snap = step_mobility(start, 0.7, 600.0, 600.0)
+        assert snap._headings_in_pi
+        hops = []
+        for _ in range(40):
+            row, dst = rng.sample(range(len(points)), 2)
+            here, dest = position(snap, row), position(snap, dst)
+            ez = expected_zone(dest, rng.choice([0.0, 5.0, 40.0]), 0.0, 2.0)
+            want = oracles.greedy_by_scalar_min(snap, snap, row, here, snap.heading.item(row),
+                                                ez.center, [], request_zone(here, ez))
+            hops.append(dlar_next_hop(row, ez, snap))
+            assert hops[-1] == want
+        assert not wraps
+        assert sum(hop is not None for hop in hops) > 20
 
     def test_headings_outside_pi_keep_the_wrap(self, monkeypatch):
         wraps = []
@@ -367,6 +427,48 @@ class TestGreedyNextHop:
                     snap, known, row, here, headings[row], dest, exclude, zone
                 )
                 assert got == want
+
+    def test_one_ulp_angle_pairs_match_scalar_min(self):
+        # Candidates turned off the ray to the destination by the same angle
+        # up to a few ulps, so that their deviation angles differ by about
+        # an ulp and numpy's and math's arctangents can order them
+        # differently; some pools must hold such a pair.
+        rng = random.Random(24)
+        split = 0
+        for scale in (1e-300, 1e-3, 1.0, 7.3, 1e150, 1e300):
+            reach = 10 * scale
+            for _ in range(250):
+                hx, hy = rng.uniform(-3, 3) * scale, rng.uniform(-3, 3) * scale
+                beta = rng.uniform(-math.pi, math.pi)
+                here = Position(hx, hy)
+                dest = Position(hx + 50 * scale * math.cos(beta), hy + 50 * scale * math.sin(beta))
+                phi = rng.choice([0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
+                points = [(hx, hy)]
+                for _ in range(rng.randint(4, 8)):
+                    turn = beta + TestRangeAtTheUlp.nudged(phi, rng.randint(-2, 2))
+                    d = rng.choice([1.0, rng.uniform(0.2, 1.0)]) * reach
+                    points.append((hx + d * math.cos(turn), hy + d * math.sin(turn)))
+                headings = [rng.choice([0.0, 1.0, -2.0, math.pi, 3.0]) for _ in points]
+                snap = make_snapshot(points, reach, headings=dict(enumerate(headings)))
+                pool = [Position(*p) for p in points[1:] if p != (hx, hy)]
+                ux, uy = np.array([p.x - hx for p in pool]), np.array([p.y - hy for p in pool])
+                vx, vy = dest.x - hx, dest.y - hy
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fast = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy).tolist()
+                exact = [deviation_angle(here, p, dest) for p in pool]
+                split += any((fa < fb) != (ea < eb) for fa, ea in zip(fast, exact)
+                             for fb, eb in zip(fast, exact))
+                for zoned in (False, True):
+                    ez = zone = None
+                    if zoned:
+                        ez = expected_zone(dest, rng.choice([0.0, 10.0, 100.0]) * scale, 0.0, 1.0)
+                        zone = request_zone(here, ez)
+                    got = routing._greedy_next_hop(snap, snap, 0, dest, [0], ez)
+                    want = oracles.greedy_by_scalar_min(
+                        snap, snap, 0, here, headings[0], dest, [0], zone
+                    )
+                    assert got == want
+        assert split > 30, split
 
 
 class TestDlarNextHop:

@@ -1,20 +1,17 @@
 """Command-line front end: flat key=value configs and deterministic CSV output.
 
-Grammar::
-
-    geo-route-sim <analyze|simulate|compare> [--config PATH] [--out PATH]
-                  [--seed N] [--mc-trials N] [--sweep key=lo:hi:steps]
-                  [key=value ...]
-
-Bare ``key=value`` arguments override config-file entries; they may appear
-anywhere on the command line.  ``--seed N`` and ``--mc-trials N`` set the
-``seed`` and ``mc_trials`` keys and win over both.  Under ``--sweep`` the
-base config takes the first swept value, and every cell is validated.
+The grammar is :data:`USAGE`, which ``-h``/``--help`` prints and README's CLI
+section shows.  Tokens may come in any order: the first bare token is the
+command, and every later one is a ``key=value`` override of a config-file
+entry.  A flag takes its value from the next token or after ``=``
+(``--seed=7``), and a repeated flag keeps its last value.  ``--seed N`` and
+``--mc-trials N`` set the ``seed`` and ``mc_trials`` keys and win over both.
+Under ``--sweep`` the base config takes the first swept value, and every cell
+is validated.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
 
-import argparse
 import csv
 import io
 import sys
@@ -25,6 +22,14 @@ from typing import Optional, Sequence
 from .feasibility import AnalyzeConfig, analyze_csv
 from .netsim import METRICS_HEADER, SimConfig, metrics_row, run_campaign
 from .routing import PROTOCOLS
+
+USAGE = """\
+geo-route-sim <analyze|simulate|compare> [--config PATH] [--out PATH]
+              [--seed N] [--mc-trials N] [--sweep key=lo:hi:steps]
+              [key=value ...]
+"""
+COMMANDS = ("analyze", "simulate", "compare")
+FLAGS = ("--config", "--out", "--seed", "--mc-trials", "--sweep")
 
 # Most values one --sweep may expand to.
 MAX_SWEEP_STEPS = 1_000
@@ -146,65 +151,59 @@ def _campaign_csv(
     return buf.getvalue()
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="geo-route-sim",
-        description="Position-based VANET routing simulator and feasibility tables.",
-    )
-    parser.add_argument("command", choices=["analyze", "simulate", "compare"])
-    parser.add_argument("--config", help="path to a key=value config file")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="override the seed")
-    parser.add_argument(
-        "--mc-trials",
-        type=int,
-        dest="mc_trials",
-        help="analyze only: add Monte Carlo estimate columns with this many trials",
-    )
-    parser.add_argument(
-        "--sweep",
-        metavar="key=lo:hi:steps",
-        help="simulate/compare only: run one cell per linearly spaced value",
-    )
-    return parser
+def _parse_args(argv: Sequence[str]) -> tuple[str, dict[str, str], list[str]]:
+    """(command, {flag: its last value}, the bare tokens after the command)."""
+    flags, bare = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag in FLAGS:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise ConfigError(f"{flag} expects a value")
+            flags[flag] = value
+        elif token.startswith("-"):
+            raise ConfigError(f"unrecognized argument {token!r}")
+        else:
+            bare.append(token)
+    command = bare[0] if bare else None
+    if command not in COMMANDS:
+        raise ConfigError(f"expected a command ({'|'.join(COMMANDS)}), got {command!r}")
+    return command, flags, bare[1:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        args, extras = parser.parse_known_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-
-    try:
-        for item in extras:
-            if item.startswith("-"):
-                raise ConfigError(f"unrecognized argument {item!r}")
+        command, flags, bare = _parse_args(argv)
         text = ""
-        if args.config is not None:
+        if "--config" in flags:
             try:
-                text = Path(args.config).read_text()
+                text = Path(flags["--config"]).read_text()
             except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        overrides = [_split_override(item) for item in extras]
-        if args.seed is not None:
-            overrides.append(("seed", str(args.seed)))
-        if args.mc_trials is not None:
-            if args.command != "analyze":
+                raise ConfigError(f"cannot read config {flags['--config']!r}: {exc}") from None
+        overrides = [_split_override(item) for item in bare]
+        if "--seed" in flags:
+            overrides.append(("seed", flags["--seed"]))
+        if "--mc-trials" in flags:
+            if command != "analyze":
                 raise ConfigError("--mc-trials is only valid for the analyze command")
-            overrides.append(("mc_trials", str(args.mc_trials)))
+            overrides.append(("mc_trials", flags["--mc-trials"]))
         sweep = None
-        if args.sweep is not None:
-            if args.command == "analyze":
+        if "--sweep" in flags:
+            if command == "analyze":
                 raise ConfigError("--sweep is only valid for simulate/compare")
-            sweep = _parse_sweep(args.sweep)
+            sweep = _parse_sweep(flags["--sweep"])
             overrides.append((sweep[0], repr(sweep[1][0])))
-        config = parse_config(text, args.command, overrides)
+        config = parse_config(text, command, overrides)
 
-        if args.command == "analyze":
+        if command == "analyze":
             output = analyze_csv(config)
         else:
-            protocols = PROTOCOLS if args.command == "compare" else None
+            protocols = PROTOCOLS if command == "compare" else None
             output = _campaign_csv(config, sweep, protocols)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -214,8 +213,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        if args.out:
-            Path(args.out).write_text(output)
+        if flags.get("--out"):
+            Path(flags["--out"]).write_text(output)
         else:
             sys.stdout.write(output)
     except OSError as exc:

@@ -222,6 +222,15 @@ class AnalyzeConfig:
         limit = math.inf if self.mc_trials is None else MAX_TRIAL_POINTS
         if not box_points < limit:
             raise ValueError(f"densities * (2 * tx_range)**2 must be < {limit}, got {box_points!r}")
+        for d in self.densities:
+            # Past these bounds the mean is inf, nan, 0 or a quarter (full / 4) short of the
+            # normal doubles' digits, and no tail of it would be right.
+            full = mean_node_count(FeasibilityParams(d, self.tx_range), RegionKind.FULL_CIRCLE)
+            if not 2.0**-1020 <= full < math.inf:
+                raise ValueError(
+                    "densities * pi * tx_range**2 must be finite and at least 2**-1020 (so that "
+                    f"a quarter of it is a normal double), got {full!r} at density {d!r}"
+                )
         max_k = MAX_ANALYZE_ROWS // (2 * len(self.densities))
         if not 1 <= self.k_max <= max_k:
             raise ValueError(f"k_max must be in [1, {max_k}], got {self.k_max!r}")

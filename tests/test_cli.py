@@ -1,10 +1,14 @@
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from geo_route_sim.cli import (
     MAX_SWEEP_STEPS,
+    USAGE,
     ConfigError,
     _campaign_csv,
     _parse_sweep,
@@ -392,3 +396,99 @@ def test_delay_bound_is_inclusive(capsys):
     row = dict(zip(*(line.split(",") for line in out.splitlines())))
     assert row["mean_hops"] == "1.000000"
     assert float(row["mean_delay_ms"]) == largest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "densities=1e308", "tx_range=1e-300"],
+        ["analyze", "densities=1e308", "tx_range=0.5"],
+        ["analyze", "densities=1e307", "tx_range=1e-170"],
+    ],
+    ids=["nan-mean", "inf-mean", "underflowed-mean"],
+)
+def test_mean_out_of_range_is_a_config_error(capsys, argv):
+    # density * pi * tx_range**2 overflows or underflows: once a runtime error
+    # naming a nan or inf mean, or a printed 0 for a tail near 3.1e-33.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "densities" in err and "tx_range" in err
+
+
+class TestParserContract:
+    def test_flag_equals_value_is_flag_then_value(self, capsys):
+        joined = run_cli(capsys, "simulate", "--seed=7", "flows=3", "--sweep=density=1e-4:2e-4:2")
+        split = run_cli(capsys, "simulate", "--seed", "7", "flows=3", "--sweep", "density=1e-4:2e-4:2")
+        assert joined[0] == split[0] == 0
+        assert joined[1] == split[1]
+
+    def test_repeated_flag_takes_its_last_value(self, capsys):
+        twice = run_cli(capsys, "simulate", "--seed", "3", "flows=3", "--seed=7")
+        once = run_cli(capsys, "simulate", "--seed", "7", "flows=3")
+        assert twice[0] == once[0] == 0
+        assert twice[1] == once[1]
+
+    def test_flags_may_come_before_the_command(self, capsys):
+        before = run_cli(capsys, "--mc-trials", "50", "--seed", "2", "analyze", "k_max=2")
+        after = run_cli(capsys, "analyze", "k_max=2", "--mc-trials", "50", "--seed", "2")
+        assert before[0] == after[0] == 0
+        assert before[1] == after[1]
+
+    @pytest.mark.parametrize("flag", ["--config", "--out", "--seed", "--mc-trials", "--sweep"])
+    def test_flag_without_a_value_names_the_flag(self, capsys, flag):
+        code, out, err = run_cli(capsys, "analyze", flag)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("argv", [["--bogus"], ["--mc-t", "10"], ["--"], ["-x"]])
+    def test_unknown_flags_and_abbreviations_name_the_token(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == 1
+        assert out == ""
+        assert repr(argv[0]) in err
+
+    @pytest.mark.parametrize("argv, key", [(["--seed", "abc"], "seed"),
+                                           (["--mc-trials", "x"], "mc_trials")])
+    def test_bad_flag_value_names_the_key(self, capsys, argv, key):
+        code, _, err = run_cli(capsys, "analyze", *argv)
+        assert code == 1
+        assert f"bad value for {key!r}" in err
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"], ["seed=7", "simulate"], ["Analyze"]])
+    def test_missing_or_misplaced_command_exits_1(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 1
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_after_other_arguments_prints_the_usage(self, capsys, flag):
+        code, out, err = run_cli(capsys, "simulate", "--seed", "3", "bogus", flag)
+        assert code == 0
+        assert out == USAGE
+        assert err == ""
+
+    def test_main_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["geo-route-sim", "analyze", "k_max=1"])
+        code = main(None)
+        out = capsys.readouterr().out
+        expected = run_cli(capsys, "analyze", "k_max=1")
+        assert code == expected[0] == 0
+        assert out == expected[1]
+
+
+STARTUP_PROBE = """
+import sys
+from geo_route_sim import cli
+before = set(sys.modules)
+code = cli.main(["simulate", "node_count=2", "flows=2", "duration=1", "--out", sys.argv[1]])
+print(code, sorted({"argparse", "gettext"} & set(sys.modules)), "locale" in set(sys.modules) - before)
+"""
+
+
+def test_cli_loads_no_argparse_and_main_no_locale(tmp_path):
+    # argparse, gettext and locale cost milliseconds of every CLI run's start.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "[]", "False"]

@@ -1,8 +1,10 @@
-"""README's "Library use" block runs and prints what its comments claim."""
+"""README's "Library use" block runs and prints what its comments claim, and its CLI
+grammar is what ``--help`` prints."""
 
 import re
 from pathlib import Path
 
+from geo_route_sim.cli import main
 from geo_route_sim.routing import Outcome, RouteResult
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -23,3 +25,10 @@ def test_library_use_block_prints_its_claims(capsys):
     snap = namespace["snap"]
     assert namespace["neighbors"](1, snap) == [0, 2]
     assert namespace["route"]("dlar", 0, 2, snap) == RouteResult(Outcome.DELIVERED, (0, 1, 2))
+
+
+def test_cli_grammar_block_is_the_help_text(capsys):
+    section = README.read_text().split("## CLI", 1)[1]
+    grammar = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == grammar

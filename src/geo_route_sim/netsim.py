@@ -8,7 +8,6 @@ purpose-split streams (placement, motion, flows), so replays are
 byte-identical and adding flows never perturbs node placement.
 """
 
-import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -132,8 +131,9 @@ class CampaignMetrics:
     drop_breakdown: dict
 
 
-def _rng_streams(seed: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """The generator of ``SeedSequence(seed).spawn(3)[i]``, without spawning the others."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 def generate_nodes(config: SimConfig) -> NetworkSnapshot:
@@ -141,15 +141,11 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
 
     The node count is Poisson(density * area) unless ``node_count`` pins it;
     positions are i.i.d. uniform over the field, headings uniform in
-    (-pi, pi], speeds uniform in [speed_min, speed_max].
+    (-pi, pi], speeds uniform in [speed_min, speed_max].  The count and
+    positions come from stream 0, headings and speeds from stream 1.
     """
     config.validate()
-    placement_rng, motion_rng, _ = _rng_streams(config.seed)
-    return _placed(config, placement_rng, motion_rng)
-
-
-def _placed(config: SimConfig, placement_rng, motion_rng) -> NetworkSnapshot:
-    """The field :func:`generate_nodes` draws, from the given generators."""
+    placement_rng, motion_rng = _stream(config.seed, 0), _stream(config.seed, 1)
     area = config.field_width * config.field_height
     if config.node_count is not None:
         count = config.node_count
@@ -159,9 +155,11 @@ def _placed(config: SimConfig, placement_rng, motion_rng) -> NetworkSnapshot:
     ys = placement_rng.uniform(0.0, config.field_height, size=count)
     headings = motion_rng.uniform(-math.pi, math.pi, size=count)
     speeds = motion_rng.uniform(config.speed_min, config.speed_max, size=count)
-    # Headings are wrapped twice, the sequence seeded campaigns have always
-    # used, so their output stays byte-identical.
-    return NetworkSnapshot(config.tx_range, xs, ys, speeds, _wrapped(_wrapped(headings)))
+    # A second wrap would change no bit, so seeded fields keep their bytes.  For h in [-pi, pi],
+    # r = fold(pi - h) lies in [0, 2pi) and the wrap returns w = fl(pi - r).  A second wrap
+    # gets pi - w exactly: it is r when r >= pi/2 (w = pi - r by Sterbenz), and Sterbenz holds
+    # when r < pi/2 (w >= pi/2); it lies in [0, 2pi), which the fold keeps, so it returns w.
+    return NetworkSnapshot(config.tx_range, xs, ys, speeds, _wrapped(headings))
 
 
 def _fold(u: np.ndarray, period: float) -> np.ndarray:
@@ -192,11 +190,10 @@ def _wrapped(heading: np.ndarray) -> np.ndarray:
     return np.subtract(math.pi, heading, out=heading)
 
 
-def _moved(start: NetworkSnapshot, t: float, width: float, height: float, cos: np.ndarray,
-           sin: np.ndarray) -> NetworkSnapshot:
+def _moved(start: NetworkSnapshot, t: float, width: float, height: float) -> NetworkSnapshot:
     """``start`` ``t`` seconds on (``t`` may be negative), every vehicle
-    moving along a straight line that reflects off the field edges; ``cos``
-    and ``sin`` are those of ``start.heading``, which a campaign takes once.
+    moving along a straight line that reflects off the field edges; every
+    move from ``start`` reuses the cos and sin of its headings, ``start._trig``.
 
     Each axis is a triangle wave: the unfolded coordinate ``u`` taken mod 2W
     lies on the outbound leg when ``u <= W`` and on the mirrored leg, at
@@ -207,8 +204,9 @@ def _moved(start: NetworkSnapshot, t: float, width: float, height: float, cos: n
 
     The move skips :class:`NetworkSnapshot`'s checks, which it meets: :func:`_fold` raises
     unless the positions are finite (2W and 2H are), and wrapped headings lie in [-pi, pi].
+    The result is a new instance, so nothing cached on ``start`` carries over to it.
     """
-    speed = start.speed
+    speed, (cos, sin) = start.speed, start._trig
     ux = _fold(start.x + speed * t * cos, 2.0 * width)
     uy = _fold(start.y + speed * t * sin, 2.0 * height)
     heading = start.heading.copy()
@@ -217,9 +215,9 @@ def _moved(start: NetworkSnapshot, t: float, width: float, height: float, cos: n
     heading[on_y] = -heading[on_y]
     np.minimum(ux, 2.0 * width - ux, out=ux)
     np.minimum(uy, 2.0 * height - uy, out=uy)
-    moved = copy.copy(start)
-    moved.x, moved.y, moved.heading = ux, uy, _wrapped(heading)
-    moved._headings_in_pi = True  # every wrapped heading lies in [-pi, pi]
+    moved = NetworkSnapshot.__new__(NetworkSnapshot)
+    vars(moved).update(transmission_range=start.transmission_range, x=ux, y=uy, speed=speed,
+                       heading=_wrapped(heading), _headings_in_pi=True)
     ux.flags.writeable = uy.flags.writeable = heading.flags.writeable = False
     return moved
 
@@ -228,10 +226,6 @@ def _field_sizes(width: float, height: float) -> dict:
     """The field sizes and their doubles, the periods a move folds by, by name."""
     return {"field_width": width, "field_height": height,
             "2 * field_width": 2.0 * width, "2 * field_height": 2.0 * height}
-
-
-def _trig(snapshot: NetworkSnapshot) -> tuple[np.ndarray, np.ndarray]:
-    return np.cos(snapshot.heading), np.sin(snapshot.heading)
 
 
 def step_mobility(
@@ -243,7 +237,7 @@ def step_mobility(
     and the heading mirrors on the violated axis.  Speeds are untouched.
     """
     _check_positive(dt=dt, **_field_sizes(field_width, field_height))
-    return _moved(snapshot, dt, field_width, field_height, *_trig(snapshot))
+    return _moved(snapshot, dt, field_width, field_height)
 
 
 def _beacon_tick(sim_time: float, beacon_interval: float) -> float:
@@ -270,14 +264,16 @@ def beacon_view(
         raise ValueError(f"sim_time must be finite, got {sim_time!r}")
     _check_positive(beacon_interval=beacon_interval, **_field_sizes(field_width, field_height))
     lag = sim_time - _beacon_tick(sim_time, beacon_interval)
-    return _moved(snapshot, -lag, field_width, field_height, *_trig(snapshot)) if lag else snapshot
+    return _moved(snapshot, -lag, field_width, field_height) if lag else snapshot
 
 
 def _firing_step(flow_time: float, time_step: float) -> int:
     """Smallest grid step ``s`` with ``flow_time <= s * time_step + 1e-9``; the
     quotient is off by at most one step of rounding, which the checks settle."""
-    step = max(0, math.ceil((flow_time - 1e-9) / time_step))
-    if step and flow_time <= (step - 1) * time_step + 1e-9:
+    if flow_time <= 1e-9:  # step 0; the quotient below is -inf for a subnormal time_step
+        return 0
+    step = math.ceil((flow_time - 1e-9) / time_step)
+    if flow_time <= (step - 1) * time_step + 1e-9:
         return step - 1
     return step if flow_time <= step * time_step + 1e-9 else step + 1
 
@@ -307,22 +303,18 @@ def run_campaign(
     at an even slot over the duration and fires on the first ``time_step``
     grid time at or past it, between a uniformly drawn distinct
     source/destination pair, and is routed under every protocol using the
-    beacon view current at that moment.  Both the ground truth at a firing
-    time and the view at its beacon tick are the start moved by one closed
-    form, with the headings' cos and sin taken once, and each distinct time
-    is moved to once.  With fewer than two vehicles no flow is sent.  An
-    unknown protocol is rejected before any node is drawn.
+    beacon view current at that moment.  The start is :func:`generate_nodes`'
+    field; both the ground truth at a firing time and the view at its beacon
+    tick are the start moved there by :func:`step_mobility`, once per
+    distinct time after 0.  With fewer than two vehicles no flow is sent.
+    An unknown protocol is rejected before any node is drawn.
     """
     protocols = (config.protocol,) if protocols is None else tuple(protocols)
     for protocol in protocols:
         if protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    config.validate()
-    placement_rng, motion_rng, flow_rng = _rng_streams(config.seed)
-    start = _placed(config, placement_rng, motion_rng)
+    start, flow_rng = generate_nodes(config), _stream(config.seed, 2)
     width, height = config.field_width, config.field_height
-
-    trig = _trig(start)
     built = {0.0: start}  # the snapshots of the current firing time and tick
     results: list[list[RouteResult]] = [[] for _ in protocols]
     step = None
@@ -331,7 +323,7 @@ def run_campaign(
         if fired != step:
             step, sim_time = fired, fired * config.time_step
             tick = _beacon_tick(sim_time, config.beacon_interval)
-            built = {t: built[t] if t in built else _moved(start, t, width, height, *trig)
+            built = {t: built[t] if t in built else step_mobility(start, t, width, height)
                      for t in sorted({tick, sim_time})}
             snapshot, view = built[sim_time], built[tick]
         si = int(flow_rng.integers(len(start)))

@@ -41,7 +41,8 @@ class NetworkSnapshot:
     and ``heading`` of one length; vehicle ``i`` is row ``i``.  Positions and
     headings are finite, speeds finite and >= 0.  Numpy columns of the right
     type are used without a copy and made read-only.  ``_headings_in_pi``,
-    whether every heading lies in [-pi, pi], is found on first use.
+    whether every heading lies in [-pi, pi], and ``_trig``, the headings' cos
+    and sin, are found on first use.
     """
 
     def __init__(self, transmission_range: float, x, y, speed, heading):
@@ -62,6 +63,10 @@ class NetworkSnapshot:
     @cached_property
     def _headings_in_pi(self) -> bool:
         return bool((np.abs(self.heading) <= math.pi).all())
+
+    @cached_property
+    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cos(self.heading), np.sin(self.heading)
 
     def row(self, v_id: int) -> int:
         """Row of vehicle ``v_id``: the id itself, checked to be a whole number in [0, len)."""

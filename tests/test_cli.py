@@ -317,6 +317,8 @@ class TestFlagsAreKeys:
         (["analyze", "densities=1000", "tx_range=10", "k_max=4000"], "k_max"),
         (["simulate", "protocol=lar", "field_width=5477", "field_height=5477", "density=0.001",
           "flows=3"], "density"),
+        (["simulate", "node_count=20", "flows=3", "duration=1e-320", "time_step=1e-320"],
+         "time_step"),
     ],
 )
 def test_extreme_configs_finish_or_name_the_key(capsys, argv, key):

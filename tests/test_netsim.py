@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import math
 import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +248,7 @@ class TestFiringSteps:
             (2.0, 1000, 0.001),
             (5.0, 9, 5.0),
             (1e-3, 11, 1e-4),
+            (1e-320, 3, 1e-320),  # (0 - 1e-9) / time_step is -inf
         ],
     )
     def test_matches_walking_the_grid(self, duration, flows, time_step):
@@ -256,10 +259,10 @@ class TestFiringSteps:
     def record_moves(monkeypatch):
         """The placements drawn and the times ``start`` is moved to."""
         placed, moves = [], []
-        place, moved = netsim._placed, netsim._moved
-        monkeypatch.setattr(netsim, "_placed", lambda c, *rngs: placed.append(c) or place(c, *rngs))
+        place, move = netsim.generate_nodes, netsim.step_mobility
+        monkeypatch.setattr(netsim, "generate_nodes", lambda c: placed.append(c) or place(c))
         monkeypatch.setattr(
-            netsim, "_moved", lambda snap, t, *a: moves.append(t) or moved(snap, t, *a)
+            netsim, "step_mobility", lambda snap, t, *a: moves.append(t) or move(snap, t, *a)
         )
         return placed, moves
 
@@ -288,6 +291,31 @@ class TestFiringSteps:
                  * config.time_step for i in range(config.flows)}
         ticks = {netsim._beacon_tick(t, config.beacon_interval) for t in fired}
         assert sorted(moves) == moves == sorted((fired | ticks) - {0.0})
+
+    def test_the_tracer_sees_the_placement_and_every_move(self, monkeypatch):
+        # bench/tracer.py wraps netsim.generate_nodes and netsim.step_mobility at
+        # the module globals; a campaign places and moves through them.
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        bench_tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_tracer)
+        for module_name, attr, _ in bench_tracer.SPANS + bench_tracer.COUNTERS:
+            module = importlib.import_module(f"geo_route_sim.{module_name}")
+            if hasattr(module, attr):  # restored after the test
+                monkeypatch.setattr(module, attr, getattr(module, attr))
+        tracer = bench_tracer.Tracer()
+        tracer.install()
+        config = small_config(duration=10.0, flows=30, time_step=0.4, beacon_interval=1.7)
+        run_campaign(config, PROTOCOLS)
+        fired = {_firing_step(i * config.duration / config.flows, config.time_step)
+                 * config.time_step for i in range(config.flows)}
+        times = (fired | {netsim._beacon_tick(t, config.beacon_interval) for t in fired}) - {0.0}
+        names = [span[0] for span in tracer.spans]
+        assert names.count("netsim.generate_nodes") == 1
+        assert names.count("netsim.step_mobility") == len(times) > 10
+        metrics = tracer.summary(0)
+        assert metrics["netsim.step_mobility.calls"][0] == len(times)
+        assert metrics["netsim.generate_nodes.s"][0] > 0
 
 
 class TestMotionBits:
@@ -355,6 +383,21 @@ class TestMotionBits:
         self.assert_same_bits(netsim._wrapped(np.array(headings)), want)
         self.assert_same_bits(wrap_angle(np.array(headings)), want)
 
+    @pytest.mark.parametrize("center", [math.pi, -math.pi, HALF_PI, -HALF_PI, 0.0])
+    def test_wrapped_is_idempotent_near_the_edges(self, center):
+        # generate_nodes wraps its headings, drawn in [-pi, pi], once where seeded
+        # campaigns once wrapped twice.  (Above pi it is not: pi + 1 ulp wraps to
+        # -pi, and -pi to pi.)
+        steps = np.arange(2**20 + 1)
+        if center == 0.0:
+            headings = np.concatenate([steps.view(np.float64), -steps.view(np.float64)])
+        else:
+            bits = np.array([center]).view(np.int64)
+            headings = np.concatenate([bits - steps, bits + steps]).view(np.float64)
+        headings = headings[np.abs(headings) <= math.pi]
+        once = netsim._wrapped(headings.copy())
+        self.assert_same_bits(netsim._wrapped(once.copy()), once)
+
     @given(
         st.sampled_from([(400.0, 300.0), (2000.0, 2000.0), (1.0, 3.0), (1e300, 7.5e299)]),
         st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0, 0.5, 7.5, -0.3, 123.25])),
@@ -368,7 +411,7 @@ class TestMotionBits:
         px, py, speed, heading = (np.array(c) for c in zip(*rows))
         start = NetworkSnapshot(10.0, px * width, py * height, speed, heading)
         trig = np.cos(start.heading), np.sin(start.heading)
-        moved = netsim._moved(start, t, width, height, *trig)
+        moved = netsim._moved(start, t, width, height)
         want = oracles.moved_by_mod(start, t, width, height, *trig)
         for got, column in zip((moved.x, moved.y, moved.heading), want):
             self.assert_same_bits(got, column)
@@ -438,8 +481,7 @@ class TestCampaignMoves:
         width, height = 2000.0, 1500.0
         start = generate_nodes(SimConfig(field_width=width, field_height=height,
                                          node_count=4000, seed=22))
-        trig = np.cos(start.heading), np.sin(start.heading)
-        moved = netsim._moved(start, t, width, height, *trig)
+        moved = netsim._moved(start, t, width, height)
         assert vars(moved)["_headings_in_pi"] is True  # set by the move, not computed
         # Rebuilt from its columns, the moved snapshot passes the checks and
         # finds the flag itself.
@@ -457,12 +499,28 @@ class TestCampaignMoves:
 
     def test_a_campaign_checks_only_its_placement(self, monkeypatch):
         checked = []
-        snapshot = netsim.NetworkSnapshot
-        monkeypatch.setattr(netsim, "NetworkSnapshot",
-                            lambda *columns: checked.append(columns) or snapshot(*columns))
+        init = NetworkSnapshot.__init__
+        monkeypatch.setattr(NetworkSnapshot, "__init__",
+                            lambda snap, *columns: checked.append(columns) or init(snap, *columns))
         config = small_config(duration=30.0, flows=20, time_step=0.4, beacon_interval=1.7)
         assert run_campaign(config, PROTOCOLS) == run_campaign(config, PROTOCOLS)
         assert len(checked) == 2  # one placement per run
+
+    def test_a_move_inherits_no_cached_state(self):
+        width, height = 1000.0, 800.0
+        start = generate_nodes(SimConfig(field_width=width, field_height=height,
+                                         node_count=500, seed=8))
+        start._trig  # cached on the start, as a campaign's first move does
+        start._index = object()  # stands for any other state cached on it
+        assert {"_trig", "_index"} <= set(vars(start))
+        for moved in (netsim._moved(start, 7.5, width, height),
+                      step_mobility(start, 0.5, width, height),
+                      beacon_view(start, 1.7, 1.0, width, height)):
+            assert set(vars(moved)) == {"transmission_range", "x", "y", "speed", "heading",
+                                        "_headings_in_pi"}
+            cos, sin = moved._trig
+            TestMotionBits.assert_same_bits(cos, np.cos(moved.heading))
+            TestMotionBits.assert_same_bits(sin, np.sin(moved.heading))
 
     def test_public_moves_keep_their_checks(self):
         snap = make_snapshot([(10, 10)], 100, speeds={0: 1e300}, headings={0: 0.5})
@@ -617,7 +675,7 @@ class TestRunCampaign:
         assert run_campaign(cell, PROTOCOLS) == expected
 
     def test_unknown_protocol_rejected_before_placement(self, monkeypatch):
-        monkeypatch.setattr(netsim, "_placed", lambda *a: pytest.fail("nodes drawn"))
+        monkeypatch.setattr(netsim, "generate_nodes", lambda *a: pytest.fail("nodes drawn"))
         with pytest.raises(ValueError, match="aodv"):
             run_campaign(small_config(), ("dir", "aodv"))
 

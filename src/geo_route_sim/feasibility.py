@@ -9,6 +9,8 @@ estimator, and emits the curve tables as CSV.
 import csv
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -132,7 +134,9 @@ def region_counts(
     point's x, then every point's y, all from one generator seeded with
     ``seed``.  They are taken in blocks of ``_BLOCK_POINTS`` points into reused
     buffers, and hits are tallied at trial ends, not per point, so memory
-    holds a few values per trial plus one block.
+    holds a few values per trial plus one block.  The call touches no state
+    outside its own arrays and generators, and numpy releases the GIL while it
+    draws, so draws on different threads run at once.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -140,7 +144,8 @@ def region_counts(
     r = params.tx_range
     low, high = (-r, r) if region is RegionKind.FULL_CIRCLE else (0.0, r)
     box_area = (high - low) ** 2
-    ends = np.cumsum(rng.poisson(params.density * box_area, size=trials))
+    ends = rng.poisson(params.density * box_area, size=trials)
+    np.cumsum(ends, out=ends)
     total = int(ends[-1])
     # Each uniform double takes exactly one 64-bit output, so a copy of the
     # stream advanced past all the xs yields the ys.
@@ -247,6 +252,48 @@ class AnalyzeConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_all(work, items, workers: int) -> None:
+    """Call ``work(item)`` for every item, on the calling thread and
+    ``workers - 1`` helper threads, all pulling from one shared iterator.
+
+    Once a call raises, no worker takes a new item; the first exception raised
+    is re-raised here, after every helper has joined.
+    """
+    pending = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def pull() -> None:
+        while not errors:
+            with lock:
+                item = next(pending, None)
+            if item is None:
+                return
+            try:
+                work(item)
+            except BaseException as exc:  # re-raised by the caller below
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=pull) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        pull()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 def analyze_csv(config: AnalyzeConfig) -> str:
     """Curve table for both region kinds as CSV text.
 
@@ -256,6 +303,12 @@ def analyze_csv(config: AnalyzeConfig) -> str:
     row gains a Monte Carlo estimate and its standard error.  Every k of one
     (density, region) is read from the same ``region_counts`` draw, seeded
     from ``seed`` once per (density, region).
+
+    The draws are independent, so they run on one worker per usable CPU (at
+    most one per curve): the calling thread and helper threads, taking the
+    curves with the most expected box points first.  A worker keeps only its
+    curve's ``k_max + 1`` tallies; the rows are formatted on the calling thread
+    once every worker is done, so the bytes do not depend on the schedule.
     """
     config.validate()
     buf = io.StringIO()
@@ -265,19 +318,28 @@ def analyze_csv(config: AnalyzeConfig) -> str:
     if with_mc:
         header += ["mc_estimate", "mc_stderr"]
     writer.writerow(header)
-    curves = [(density, region) for density in sorted(config.densities) for region in RegionKind]
-    mc_seeds = np.random.SeedSequence(config.seed).generate_state(len(curves))
-    for i, (density, region) in enumerate(curves):
-        params = FeasibilityParams(density, config.tx_range)
-        mean = mean_node_count(params, region)
-        if with_mc:
+    curves = [(FeasibilityParams(density, config.tx_range), region)
+              for density in sorted(config.densities) for region in RegionKind]
+    means = [mean_node_count(params, region) for params, region in curves]
+    at_least = [None] * len(curves)  # at_least[i][k]: the trials of curve i holding >= k points
+    if with_mc:
+        mc_seeds = np.random.SeedSequence(config.seed).generate_state(len(curves))
+
+        def draw(i: int) -> None:
+            params, region = curves[i]
             counts = region_counts(params, region, config.mc_trials, int(mc_seeds[i]))
-            # at_least[k]: the trials holding at least k points
-            at_least = np.cumsum(np.bincount(counts, minlength=config.k_max + 1)[::-1])[::-1]
+            tally = np.bincount(counts, minlength=config.k_max + 1)
+            at_least[i] = np.cumsum(tally[::-1])[::-1][: config.k_max + 1]
+
+        # The box holds the region at a fixed 4 / pi of its area, so the mean
+        # orders the curves by expected box points, the work of a draw.
+        largest_first = sorted(range(len(curves)), key=means.__getitem__, reverse=True)
+        _run_all(draw, largest_first, min(len(curves), _usable_cpus()))
+    for (params, region), mean, tallies in zip(curves, means, at_least):
         for k, prob in enumerate(_at_least_column(mean, config.k_max), start=1):
-            row = [f"{density:.10g}", str(k), region.value, f"{prob:.10g}"]
+            row = [f"{params.density:.10g}", str(k), region.value, f"{prob:.10g}"]
             if with_mc:
-                est = _estimate(at_least[k], config.mc_trials)
+                est = _estimate(tallies[k], config.mc_trials)
                 row += [f"{est.estimate:.10g}", f"{est.stderr:.10g}"]
             writer.writerow(row)
     return buf.getvalue()

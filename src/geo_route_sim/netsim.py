@@ -268,14 +268,18 @@ def beacon_view(
 
 
 def _firing_step(flow_time: float, time_step: float) -> int:
-    """Smallest grid step ``s`` with ``flow_time <= s * time_step + 1e-9``; the
-    quotient is off by at most one step of rounding, which the checks settle."""
-    if flow_time <= 1e-9:  # step 0; the quotient below is -inf for a subnormal time_step
-        return 0
-    step = math.ceil((flow_time - 1e-9) / time_step)
-    if flow_time <= (step - 1) * time_step + 1e-9:
+    """Smallest grid step ``s`` with ``flow_time <= s * time_step + slack``.
+
+    The slack, ``1e-9 * time_step``, absorbs the rounding of ``flow_time`` and
+    of the grid times; being relative to the step, it never spans a grid step.
+    The quotient is off by at most one step of rounding, which the checks
+    settle.
+    """
+    slack = 1e-9 * time_step
+    step = math.ceil((flow_time - slack) / time_step)
+    if flow_time <= (step - 1) * time_step + slack:
         return step - 1
-    return step if flow_time <= step * time_step + 1e-9 else step + 1
+    return step if flow_time <= step * time_step + slack else step + 1
 
 
 def _metrics(results: list[RouteResult], per_hop_latency_ms: float) -> CampaignMetrics:

@@ -305,13 +305,15 @@ def squared_by_ldexp(reach, dx, dy):
 
 def firing_steps_by_stepping(duration, flows, time_step):
     """Grid step of each flow, found by walking the time grid one step at a
-    time and firing every flow whose slot is due."""
+    time and firing every flow whose slot is due, within a slack of
+    ``1e-9 * time_step``."""
     flow_times = [i * duration / flows for i in range(flows)]
     steps = []
     step_index = 0
     sim_time = 0.0
+    slack = 1e-9 * time_step
     while len(steps) < len(flow_times):
-        while len(steps) < len(flow_times) and flow_times[len(steps)] <= sim_time + 1e-9:
+        while len(steps) < len(flow_times) and flow_times[len(steps)] <= sim_time + slack:
             steps.append(step_index)
         step_index += 1
         sim_time = step_index * time_step

@@ -1,12 +1,14 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from geo_route_sim import feasibility
+from geo_route_sim import cli, feasibility
 from geo_route_sim.feasibility import (
     MAX_DRAW_POINTS,
     AnalyzeConfig,
@@ -371,6 +373,110 @@ class TestAnalyzeMonteCarlo:
         config = AnalyzeConfig(densities=(0.0001, 0.0002, 0.0004), k_max=10, mc_trials=200)
         analyze_csv(config)
         assert len(calls) == len(config.densities) * 2
+
+
+class TestConcurrentDraws:
+    """The curves of one table are drawn on several threads at once."""
+
+    @pytest.mark.parametrize("densities", [(0.0002,), (0.0004, 0.0001, 0.0002)])
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, densities):
+        config = AnalyzeConfig(densities=densities, k_max=12, mc_trials=5000, seed=3)
+        tables = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(feasibility, "_usable_cpus", lambda: cpus)
+            tables.append(analyze_csv(config))
+        assert tables[0] == tables[1]
+
+    def test_each_curve_drawn_once_under_frequent_thread_switches(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: a curve
+        # taken twice or skipped by the shared iterator would show here.
+        config = AnalyzeConfig(densities=tuple(1e-4 * (i + 1) for i in range(8)), mc_trials=300)
+        serial = analyze_csv(config)
+        drawn = []
+
+        def counting(params, region, trials, seed):
+            drawn.append((params.density, region))
+            return region_counts(params, region, trials, seed)
+
+        monkeypatch.setattr(feasibility, "region_counts", counting)
+        monkeypatch.setattr(feasibility, "_usable_cpus", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = analyze_csv(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(drawn) == len(set(drawn)) == 2 * len(config.densities)
+        assert table == serial
+
+    def test_memory_holds_one_draw_per_worker(self, monkeypatch):
+        # Small blocks leave a draw's two per-trial arrays as its working set:
+        # about 1.6 MB each, where the counts of all eight curves take 6.4 MB.
+        monkeypatch.setattr(feasibility, "_BLOCK_POINTS", 4096)
+        config = AnalyzeConfig(
+            densities=(0.01, 0.015, 0.02, 0.025), tx_range=10.0, k_max=10, mc_trials=100_000
+        )
+        all_counts = 2 * len(config.densities) * config.mc_trials * 8
+        tracemalloc.start()
+        try:
+            one_draw = 0
+            for density in config.densities:
+                for region in RegionKind:
+                    tracemalloc.reset_peak()
+                    params = FeasibilityParams(density, config.tx_range)
+                    region_counts(params, region, config.mc_trials, 1)
+                    one_draw = max(one_draw, tracemalloc.get_traced_memory()[1])
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(feasibility, "_usable_cpus", lambda: cpus)
+                tracemalloc.reset_peak()
+                analyze_csv(config)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak <= cpus * one_draw + 300_000 < all_counts, cpus
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def fail_on_a_helper(monkeypatch, failure):
+        """Make ``region_counts`` raise ``failure`` on the first curve a helper
+        thread draws, and run the analysis on two workers; returns the
+        arguments of every draw a helper began."""
+        failed = []
+        lock = threading.Lock()
+
+        def draw(*args):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.05)  # leave the helper time to take a curve
+            else:
+                with lock:
+                    first = not failed
+                    failed.append(args)
+                if first:
+                    raise failure
+            return region_counts(*args)
+
+        monkeypatch.setattr(feasibility, "region_counts", draw)
+        monkeypatch.setattr(feasibility, "_usable_cpus", lambda: 2)
+        return failed
+
+    def test_a_helper_failure_is_raised_by_analyze_csv(self, monkeypatch):
+        failure = MemoryError("draw failed")
+        failed = self.fail_on_a_helper(monkeypatch, failure)
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError) as raised:
+            analyze_csv(AnalyzeConfig(mc_trials=2000))
+        assert raised.value is failure
+        assert len(failed) == 1  # the failed helper took no further curve
+        assert threading.active_count() == threads  # every helper has joined
+        assert unhandled == []
+
+    def test_a_helper_failure_is_a_cli_runtime_error(self, monkeypatch, capsys):
+        self.fail_on_a_helper(monkeypatch, MemoryError("draw failed"))
+        assert cli.main(["analyze", "--mc-trials", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: draw failed\n"
 
 
 class TestAnalyzeConfigBounds:

@@ -248,12 +248,19 @@ class TestFiringSteps:
             (2.0, 1000, 0.001),
             (5.0, 9, 5.0),
             (1e-3, 11, 1e-4),
-            (1e-320, 3, 1e-320),  # (0 - 1e-9) / time_step is -inf
+            (1e-320, 3, 1e-320),  # the slack 1e-9 * time_step underflows to 0
+            (1e-8, 10, 1e-10),
         ],
     )
     def test_matches_walking_the_grid(self, duration, flows, time_step):
         steps = [_firing_step(i * duration / flows, time_step) for i in range(flows)]
         assert steps == oracles.firing_steps_by_stepping(duration, flows, time_step)
+
+    def test_slack_is_relative_to_the_step(self):
+        # A slack of 1e-9 s would span ten of these steps and fire these
+        # flows at steps 0, 0, 10, 20, 30, 40, 51, 61, 70 and 80.
+        steps = [_firing_step(i * 1e-8 / 10, 1e-10) for i in range(10)]
+        assert steps == list(range(0, 100, 10))
 
     @staticmethod
     def record_moves(monkeypatch):

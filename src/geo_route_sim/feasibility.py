@@ -17,6 +17,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+__all__ = [
+    "AnalyzeConfig", "FeasibilityParams", "MonteCarloEstimate", "RegionKind", "analyze_csv",
+    "mean_node_count", "monte_carlo_at_least_k", "poisson_pmf", "prob_at_least_k",
+]
+
 # Most expected points per Monte Carlo trial; bounds the work of one trial.
 MAX_TRIAL_POINTS = 1_000_000
 # Most expected slots in one Monte Carlo draw, each trial's count plus the
@@ -66,8 +71,6 @@ def poisson_pmf(n: int, mean: float) -> float:
         raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
-    if n == 0:
-        return math.exp(-mean)
     return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
 
 
@@ -133,10 +136,12 @@ def region_counts(
     The draws and counts equal the one-shot draw's: the box counts, then every
     point's x, then every point's y, all from one generator seeded with
     ``seed``.  They are taken in blocks of ``_BLOCK_POINTS`` points into reused
-    buffers, and hits are tallied at trial ends, not per point, so memory
-    holds a few values per trial plus one block.  The call touches no state
-    outside its own arrays and generators, and numpy releases the GIL while it
-    draws, so draws on different threads run at once.
+    buffers, and hits are tallied at trial ends, not per point.  Memory holds
+    the per-trial counts and ends, one block, and per-block temporaries that
+    span every trial end the block covers: about 300,000 ends when trials
+    average 0.1 box points.  The call touches no state outside its own arrays
+    and generators, and numpy releases the GIL while it draws, so draws on
+    different threads run at once.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")

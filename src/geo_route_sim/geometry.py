@@ -8,6 +8,8 @@ in [0, pi].
 import math
 from dataclasses import dataclass
 
+__all__ = ["Position", "deviation_angle", "distance", "wrap_angle"]
+
 TWO_PI = 2.0 * math.pi
 
 

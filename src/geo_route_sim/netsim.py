@@ -27,6 +27,11 @@ from .routing import (
     route,
 )
 
+__all__ = [
+    "CampaignMetrics", "METRICS_HEADER", "SimConfig", "beacon_view", "generate_nodes",
+    "metrics_row", "run_campaign", "step_mobility",
+]
+
 # Largest campaign accepted, in vehicles; each takes 32 B (four floats) per snapshot.
 MAX_NODES = 1_000_000
 # Most flows per campaign.  100,000 D-LAR flows take ~5 s between two vehicles, but

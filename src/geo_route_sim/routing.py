@@ -20,6 +20,11 @@ import numpy as np
 from .geometry import Position, deviation_angle, distance, wrap_angle
 from .zones import ExpectedZone, expected_zone, in_request_zone, request_zone
 
+__all__ = [
+    "DEFAULT_TTL", "NetworkSnapshot", "Outcome", "PROTOCOLS", "RouteResult", "dir_next_hop",
+    "dlar_next_hop", "lar_route_discovery", "neighbors", "route",
+]
+
 DEFAULT_TTL = 64
 
 PROTOCOLS = ("dir", "lar", "dlar")

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .geometry import Position
 
+__all__ = ["ExpectedZone", "RequestZone", "expected_zone", "in_request_zone", "request_zone"]
+
 
 @dataclass(frozen=True)
 class ExpectedZone:

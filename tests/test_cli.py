@@ -225,10 +225,32 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "--frobnicate")
         assert code == 1
 
-    def test_bad_override(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "tx_range=-5")
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["simulate", "tx_range=-5"], "tx_range"),
+            (["analyze", "densities=,"], "densities"),
+            (["analyze", "densities=0"], "densities"),
+            (["analyze", "densities=nan"], "densities"),
+            (["analyze", "tx_range=inf"], "tx_range"),
+            (["analyze", "k_max=0"], "k_max"),
+            (["analyze", "seed=-1"], "seed"),
+            (["analyze", "--mc-trials", "0"], "mc_trials"),
+            (["simulate", "node_count=0"], "node_count"),
+            (["simulate", "node_count=1.5"], "node_count"),
+            (["simulate", "protocol=xyz"], "protocol"),
+            (["simulate", "seed=-1"], "seed"),
+            (["simulate", "ttl=0"], "ttl"),
+            (["simulate", "ttl=1e400"], "ttl"),
+            (["simulate", "flows=-1"], "flows"),
+            (["simulate", "duration=1e300", "time_step=1e-10"], "duration / time_step"),
+            (["simulate", "foo"], "bad override 'foo'"),
+        ],
+    )
+    def test_bad_override(self, capsys, argv, key):
+        code, _, err = run_cli(capsys, *argv)
         assert code == 1
-        assert "tx_range" in err
+        assert key in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config", "/nonexistent/x.cfg")
@@ -494,3 +516,15 @@ def test_cli_loads_no_argparse_and_main_no_locale(tmp_path):
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "out.csv")],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split() == ["0", "[]", "False"]
+
+
+def test_module_entry_point_runs_main(capsys):
+    # ``python -m geo_route_sim.cli`` exits with main's code and writes its bytes.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    entry = [sys.executable, "-m", "geo_route_sim.cli"]
+    proc = subprocess.run([*entry, "analyze"], capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(capsys, "analyze")[1].encode()
+    proc = subprocess.run([*entry, "simulate", "foo"], capture_output=True, env=env)
+    assert proc.returncode == 1
+    assert b"bad override 'foo'" in proc.stderr

@@ -82,6 +82,16 @@ class TestPoissonPmf:
     def test_zero_count_unit_mean(self):
         assert poisson_pmf(0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
+    def test_zero_count_is_exp_of_minus_mean_bit_for_bit(self):
+        # 0 * log(mean) is +-0 and lgamma(1) is exactly 0, so the general form
+        # gives exp(-mean) itself, from subnormal means to the largest.
+        means = [math.ldexp(mantissa, e) for e in range(-1074, 1024)
+                 for mantissa in (1.0, 1.2345678901234567, 1.9999999999999998)]
+        edge = 745.1332191019411  # exp(-edge) is the least subnormal
+        means += [1e308, sys.float_info.max, math.nextafter(edge, 0), edge]
+        assert len(means) > 6000
+        assert [poisson_pmf(0, m).hex() for m in means] == [math.exp(-m).hex() for m in means]
+
     def test_empty_region_is_certain(self):
         assert poisson_pmf(0, 0.0) == 1.0
         assert poisson_pmf(3, 0.0) == 0.0

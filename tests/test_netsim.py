@@ -262,6 +262,17 @@ class TestFiringSteps:
         steps = [_firing_step(i * 1e-8 / 10, 1e-10) for i in range(10)]
         assert steps == list(range(0, 100, 10))
 
+    def test_quotient_one_step_high_is_corrected_down(self):
+        # Past the grid walk's reach: the ceil quotient is 27879196473429 here,
+        # one more than the smallest step whose grid time covers the flow.
+        flow_time, time_step = 83.58708891595614, 2.9981885954146493e-12
+        slack = 1e-9 * time_step
+        assert math.ceil((flow_time - slack) / time_step) == 27879196473429
+        step = _firing_step(flow_time, time_step)
+        assert step == 27879196473428
+        assert flow_time <= step * time_step + slack
+        assert not flow_time <= (step - 1) * time_step + slack
+
     @staticmethod
     def record_moves(monkeypatch):
         """The placements drawn and the times ``start`` is moved to."""

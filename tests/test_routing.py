@@ -700,6 +700,16 @@ class TestRoute:
         result = route(protocol, 0, 4, snap, ttl=4)
         assert result.outcome is Outcome.DELIVERED and result.path == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("protocol", ["dir", "dlar"])
+    def test_stale_spot_reached_is_a_void_drop(self, protocol):
+        # The beacon view puts the destination on relay 1's spot; once there
+        # the packet has no direction left, and the destination is out of range.
+        snap = make_snapshot([(0, 0), (100, 0), (300, 0)], 150)
+        known = make_snapshot([(0, 0), (100, 0), (100, 0)], 150)
+        result = route(protocol, 0, 2, snap, now=5.0, known=known, known_time=5.0)
+        assert result.outcome is Outcome.VOID_DROP
+        assert result.path == (0, 1)
+
     def test_ttl_one_still_delivers_direct_neighbor(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)
         assert route("dir", 0, 1, snap, ttl=1).outcome is Outcome.DELIVERED

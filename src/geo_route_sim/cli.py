@@ -109,7 +109,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
     if not sep or not key:
         raise ConfigError(f"bad sweep {spec!r}: expected key=lo:hi:steps")
     if _SIM_PARSERS.get(key) is not float:
-        raise ConfigError(f"sweep key {key!r} is not a numeric simulation parameter")
+        raise ConfigError(f"sweep key {key!r} is not a float-valued simulation parameter")
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ConfigError(f"sweep steps must be in [1, {MAX_SWEEP_STEPS}], got {steps}")
     from decimal import Decimal  # here, so that only sweeps pay its import (~0.4 MB)

@@ -146,8 +146,9 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
 
     The node count is Poisson(density * area) unless ``node_count`` pins it;
     positions are i.i.d. uniform over the field, headings uniform in
-    (-pi, pi], speeds uniform in [speed_min, speed_max].  The count and
-    positions come from stream 0, headings and speeds from stream 1.
+    (-pi, pi] (drawn in [-pi, pi), which the wrap never takes to -pi),
+    speeds uniform in [speed_min, speed_max].  The count and positions come
+    from stream 0, headings and speeds from stream 1.
     """
     config.validate()
     placement_rng, motion_rng = _stream(config.seed, 0), _stream(config.seed, 1)
@@ -189,8 +190,8 @@ def _fold(u: np.ndarray, period: float) -> np.ndarray:
 
 def _wrapped(heading: np.ndarray) -> np.ndarray:
     """:func:`~geo_route_sim.geometry.wrap_angle` of a heading column, bit for
-    bit, in place: its ``np.mod`` is done by :func:`_fold`, which is faster
-    from a few hundred rows on."""
+    bit, in place, -pi for the double just above pi included: its ``np.mod``
+    is done by :func:`_fold`, which is faster from a few hundred rows on."""
     _fold(np.subtract(math.pi, heading, out=heading), TWO_PI)
     return np.subtract(math.pi, heading, out=heading)
 
@@ -308,15 +309,18 @@ def run_campaign(
     :class:`CampaignMetrics` per entry of ``protocols`` (default:
     ``(config.protocol,)``), in order.
 
-    The placement is drawn once.  Each of the ``flows`` attempts is scheduled
-    at an even slot over the duration and fires on the first ``time_step``
-    grid time at or past it, between a uniformly drawn distinct
-    source/destination pair, and is routed under every protocol using the
-    beacon view current at that moment.  The start is :func:`generate_nodes`'
-    field; both the ground truth at a firing time and the view at its beacon
-    tick are the start moved there by :func:`step_mobility`, once per
-    distinct time after 0.  With fewer than two vehicles no flow is sent.
-    An unknown protocol is rejected before any node is drawn.
+    The placement is drawn once, then the whole schedule before any flow is
+    routed: each of the ``flows`` attempts fires on the first ``time_step``
+    grid time at or past its even slot over the duration, and stream 2 draws
+    every flow's endpoints, in flow order, in one call (a uniform source and
+    a uniform other destination: the values and final state of one scalar
+    draw per endpoint).  Each flow is routed under every protocol using the
+    beacon view current at its firing time.  The start is
+    :func:`generate_nodes`' field; both the ground truth at a firing time and
+    the view at its beacon tick are the start moved there by
+    :func:`step_mobility`, once per distinct time after 0.  With fewer than
+    two vehicles no flow is sent.  An unknown protocol is rejected before any
+    node is drawn.
     """
     protocols = (config.protocol,) if protocols is None else tuple(protocols)
     for protocol in protocols:
@@ -324,24 +328,20 @@ def run_campaign(
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     start, flow_rng = generate_nodes(config), _stream(config.seed, 2)
     width, height = config.field_width, config.field_height
+    n, flows = len(start), config.flows if len(start) >= 2 else 0
+    steps = [_firing_step(i * config.duration / flows, config.time_step) for i in range(flows)]
+    pairs = flow_rng.integers(np.tile([n, n - 1], flows)).reshape(flows, 2)
+    pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
     built = {0.0: start}  # the snapshots of the current firing time and tick
     results: list[list[RouteResult]] = [[] for _ in protocols]
-    step = None
-    for i in range(config.flows if len(start) >= 2 else 0):
-        fired = _firing_step(i * config.duration / config.flows, config.time_step)
-        if fired != step:
-            step, sim_time = fired, fired * config.time_step
-            tick = _beacon_tick(sim_time, config.beacon_interval)
-            built = {t: built[t] if t in built else step_mobility(start, t, width, height)
-                     for t in sorted({tick, sim_time})}
-            snapshot, view = built[sim_time], built[tick]
-        si = int(flow_rng.integers(len(start)))
-        di = int(flow_rng.integers(len(start) - 1))
-        if di >= si:
-            di += 1
+    for step, (si, di) in zip(steps, pairs.tolist()):
+        sim_time = step * config.time_step
+        tick = _beacon_tick(sim_time, config.beacon_interval)
+        built = {t: built[t] if t in built else step_mobility(start, t, width, height)
+                 for t in sorted({tick, sim_time})}
         for protocol, routed in zip(protocols, results):
-            routed.append(route(protocol, si, di, snapshot, now=sim_time,
-                                ttl=config.ttl, known=view, known_time=tick))
+            routed.append(route(protocol, si, di, built[sim_time], now=sim_time,
+                                ttl=config.ttl, known=built[tick], known_time=tick))
     return [_metrics(routed, config.per_hop_latency_ms) for routed in results]
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .geometry import Position, deviation_angle, distance, wrap_angle
-from .zones import ExpectedZone, expected_zone, in_request_zone, request_zone
+from .zones import ExpectedZone, _zone_bounds, expected_zone, in_request_zone, request_zone
 
 __all__ = [
     "DEFAULT_TTL", "NetworkSnapshot", "Outcome", "PROTOCOLS", "RouteResult", "dir_next_hop",
@@ -220,10 +220,8 @@ def _choose_hop(snapshot, known, row, dest, skip, ez=None) -> Optional[int]:
     x, y = known.x[rows], known.y[rows]
     keep = (x != hx) | (y != hy)
     if ez is not None:
-        # The request zone anchored here, bound for bound as request_zone builds it.
-        c, r = ez.center, ez.radius
-        keep &= ((min(hx, c.x - r) <= x) & (x <= max(hx, c.x + r))
-                 & (min(hy, c.y - r) <= y) & (y <= max(hy, c.y + r)))
+        x0, y0, x1, y1 = _zone_bounds(hx, hy, ez)  # the request zone anchored here
+        keep &= (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
         turn = snapshot.heading[rows] - snapshot.heading.item(row)
         aligned = keep & ((((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR))
                           if snapshot._headings_in_pi else (np.abs(wrap_angle(turn)) <= HALF_PI))

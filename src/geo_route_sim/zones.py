@@ -54,18 +54,16 @@ def expected_zone(dest_pos_t0: Position, dest_speed: float, t0: float, t1: float
     return ExpectedZone(dest_pos_t0, dest_speed * (t1 - t0))
 
 
+def _zone_bounds(x: float, y: float, ez: ExpectedZone) -> tuple[float, float, float, float]:
+    """Min x, min y, max x and max y of the request zone anchored at (``x``, ``y``)."""
+    c, r = ez.center, ez.radius
+    return min(x, c.x - r), min(y, c.y - r), max(x, c.x + r), max(y, c.y + r)
+
+
 def request_zone(source: Position, ez: ExpectedZone) -> RequestZone:
     """Smallest axis-aligned rectangle containing the expected zone and the source."""
-    return RequestZone(
-        Position(
-            min(source.x, ez.center.x - ez.radius),
-            min(source.y, ez.center.y - ez.radius),
-        ),
-        Position(
-            max(source.x, ez.center.x + ez.radius),
-            max(source.y, ez.center.y + ez.radius),
-        ),
-    )
+    x0, y0, x1, y1 = _zone_bounds(source.x, source.y, ez)
+    return RequestZone(Position(x0, y0), Position(x1, y1))
 
 
 def in_request_zone(x, y, rz: RequestZone):

@@ -269,6 +269,9 @@ class TestExitCodes:
         assert run_cli(capsys, "simulate", "--sweep", "density=1:2")[0] == 1
         assert run_cli(capsys, "simulate", "--sweep", "protocol=1:2:2")[0] == 1
         assert run_cli(capsys, "simulate", "--sweep", "density=0:1e-4:2")[0] == 1
+        code, _, err = run_cli(capsys, "simulate", "--sweep", "=1:2:3")
+        assert code == 1
+        assert "bad sweep '=1:2:3'" in err
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "k_max=1", "--out", "/nonexistent/dir/out.csv")
@@ -315,6 +318,7 @@ class TestFlagsAreKeys:
             (["simulate", "--sweep", "density=1.5:2:2"], "density"),
             (["simulate", "--sweep", "density=1e-5:1e-4:2", "tx_range=-5"], "tx_range"),
             (["simulate", "--sweep", "tx_range=-5:100:2"], "tx_range"),
+            (["simulate", "--sweep", "flows=10:50:5"], "'flows' is not a float-valued"),
         ],
     )
     def test_sweep_rejections_name_the_key(self, capsys, argv, key):

@@ -129,6 +129,10 @@ class TestProbAtLeastK:
     def test_empty_region_has_no_nodes(self):
         assert prob_at_least_k(1, 0.0) == 0.0
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            prob_at_least_k(-1, 1.0)
+
     @pytest.mark.parametrize("mean", [-0.5, math.inf, math.nan])
     def test_mean_outside_zero_to_infinity_rejected(self, mean):
         with pytest.raises(ValueError, match="mean"):
@@ -397,6 +401,13 @@ class TestConcurrentDraws:
             tables.append(analyze_csv(config))
         assert tables[0] == tables[1]
 
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(feasibility.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(feasibility.os, "cpu_count", lambda: 5)
+        assert feasibility._usable_cpus() == 5
+        monkeypatch.setattr(feasibility.os, "cpu_count", lambda: None)
+        assert feasibility._usable_cpus() == 1
+
     def test_each_curve_drawn_once_under_frequent_thread_switches(self, monkeypatch):
         # More workers than cores, switching threads every microsecond: a curve
         # taken twice or skipped by the shared iterator would show here.
@@ -492,6 +503,10 @@ class TestConcurrentDraws:
 class TestAnalyzeConfigBounds:
     def test_readme_example_is_within_the_draw_bound(self):
         AnalyzeConfig(mc_trials=100_000).validate()
+
+    def test_empty_densities_rejected(self):
+        with pytest.raises(ValueError, match="densities must not be empty"):
+            AnalyzeConfig(densities=()).validate()
 
     def test_draw_bound_names_mc_trials(self):
         box_points = 4.0 * 250.0**2 * 0.0004

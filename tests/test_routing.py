@@ -643,6 +643,14 @@ class TestLarRouteDiscovery:
                 outcomes.add(result.outcome)
         assert outcomes == {Outcome.DELIVERED, Outcome.TTL_DROP, Outcome.ZONE_UNREACHABLE}
 
+    def test_source_equals_destination(self):
+        # route() answers this case itself; the flood must answer it too.
+        snap = make_snapshot([(0, 0), (50, 0), (500, 0)], 100)
+        ez = expected_zone(Position(50, 0), 0.0, 0.0, 0.0)
+        result = lar_route_discovery(1, 1, snap, ez, DEFAULT_TTL)
+        assert result.outcome is Outcome.DELIVERED
+        assert result.path == (1,)
+
     def test_unknown_ids(self):
         snap = make_snapshot([(0, 0), (50, 0)], 100)
         ez = expected_zone(Position(0, 0), 0.0, 0.0, 0.0)
@@ -866,6 +874,10 @@ class TestSnapshot:
         for reach in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="transmission_range"):
                 NetworkSnapshot(reach, **columns())
+
+    def test_repr_names_size_and_range(self):
+        snap = make_snapshot([(0, 0), (50, 0), (90, 0)], 100)
+        assert repr(snap) == "NetworkSnapshot(3 vehicles, transmission_range=100.0)"
 
     def test_empty_snapshot_from_lists(self):
         snap = NetworkSnapshot(100.0, [], [], [], [])

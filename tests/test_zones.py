@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from geo_route_sim.geometry import Position
 from geo_route_sim.zones import (
     ExpectedZone,
+    RequestZone,
     expected_zone,
     in_request_zone,
     request_zone,
@@ -54,6 +55,12 @@ class TestExpectedZone:
 
 
 class TestRequestZone:
+    @pytest.mark.parametrize("corners", [((1, 0), (0, 1)), ((0, 1), (1, 0))])
+    def test_inverted_corners_rejected(self, corners):
+        low, high = (Position(*c) for c in corners)
+        with pytest.raises(ValueError, match="inverted"):
+            RequestZone(low, high)
+
     def test_source_outside(self):
         rz = request_zone(Position(0, 0), ExpectedZone(Position(100, 100), 50.0))
         assert rz.min_corner == Position(0, 0)

@@ -1,8 +1,8 @@
 """Planar geometric primitives for position-based forwarding decisions.
 
 Angles are plain floats in radians, measured counter-clockwise from the +x
-axis.  Wrapped angles lie in [-pi, pi], and in (-pi, pi] for an angle that
-already lay in [-pi, pi]; deviation angles are unsigned and lie in [0, pi].
+axis.  Wrapped angles lie in (-pi, pi]; deviation angles are unsigned and lie
+in [0, pi].
 """
 
 import math
@@ -33,10 +33,9 @@ def distance(a: Position, b: Position) -> float:
 
 
 def wrap_angle(radians: float) -> float:
-    """Wrap an angle to [-pi, pi]: -pi only where ``(pi - radians) % TWO_PI``
-    rounds up to ``TWO_PI``, as for ``math.nextafter(math.pi, 4)``, the double
-    just above pi.  An angle in [-pi, pi] wraps into (-pi, pi]."""
-    return math.pi - (math.pi - radians) % TWO_PI
+    """Wrap an angle, or an array of them, to (-pi, pi]: the second ``% TWO_PI``
+    takes a remainder that rounded up to ``TWO_PI`` (just above pi) to 0."""
+    return math.pi - (math.pi - radians) % TWO_PI % TWO_PI
 
 
 def deviation_angle(pivot: Position, candidate: Position, target: Position) -> float:

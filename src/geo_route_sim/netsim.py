@@ -146,9 +146,8 @@ def generate_nodes(config: SimConfig) -> NetworkSnapshot:
 
     The node count is Poisson(density * area) unless ``node_count`` pins it;
     positions are i.i.d. uniform over the field, headings uniform in
-    (-pi, pi] (drawn in [-pi, pi), which the wrap never takes to -pi),
-    speeds uniform in [speed_min, speed_max].  The count and positions come
-    from stream 0, headings and speeds from stream 1.
+    (-pi, pi], speeds uniform in [speed_min, speed_max].  The count and
+    positions come from stream 0, headings and speeds from stream 1.
     """
     config.validate()
     placement_rng, motion_rng = _stream(config.seed, 0), _stream(config.seed, 1)
@@ -190,10 +189,13 @@ def _fold(u: np.ndarray, period: float) -> np.ndarray:
 
 def _wrapped(heading: np.ndarray) -> np.ndarray:
     """:func:`~geo_route_sim.geometry.wrap_angle` of a heading column, bit for
-    bit, in place, -pi for the double just above pi included: its ``np.mod``
-    is done by :func:`_fold`, which is faster from a few hundred rows on."""
+    bit, in place: its ``np.mod`` is done by :func:`_fold`, which is faster
+    from a few hundred rows on.  A remainder that rounds up to 2pi, as for the
+    double just above pi, gives -pi, which is turned into pi."""
     _fold(np.subtract(math.pi, heading, out=heading), TWO_PI)
-    return np.subtract(math.pi, heading, out=heading)
+    np.subtract(math.pi, heading, out=heading)
+    heading[heading == -math.pi] = math.pi
+    return heading
 
 
 def _moved(start: NetworkSnapshot, t: float, width: float, height: float) -> NetworkSnapshot:
@@ -312,9 +314,8 @@ def run_campaign(
     The placement is drawn once, then the whole schedule before any flow is
     routed: each of the ``flows`` attempts fires on the first ``time_step``
     grid time at or past its even slot over the duration, and stream 2 draws
-    every flow's endpoints, in flow order, in one call (a uniform source and
-    a uniform other destination: the values and final state of one scalar
-    draw per endpoint).  Each flow is routed under every protocol using the
+    every flow's endpoints, in flow order: a uniform source, then a uniform
+    destination among the other vehicles.  Each flow is routed under every protocol using the
     beacon view current at its firing time.  The start is
     :func:`generate_nodes`' field; both the ground truth at a firing time and
     the view at its beacon tick are the start moved there by
@@ -330,11 +331,11 @@ def run_campaign(
     width, height = config.field_width, config.field_height
     n, flows = len(start), config.flows if len(start) >= 2 else 0
     steps = [_firing_step(i * config.duration / flows, config.time_step) for i in range(flows)]
-    pairs = flow_rng.integers(np.tile([n, n - 1], flows)).reshape(flows, 2)
-    pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
+    pairs = [(int(flow_rng.integers(n)), int(flow_rng.integers(n - 1))) for _ in range(flows)]
     built = {0.0: start}  # the snapshots of the current firing time and tick
     results: list[list[RouteResult]] = [[] for _ in protocols]
-    for step, (si, di) in zip(steps, pairs.tolist()):
+    for step, (si, di) in zip(steps, pairs):
+        di += di >= si  # a uniform destination other than the source
         sim_time = step * config.time_step
         tick = _beacon_tick(sim_time, config.beacon_interval)
         built = {t: built[t] if t in built else step_mobility(start, t, width, height)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geo_route_sim.geometry import (
@@ -149,6 +149,7 @@ class TestWrapAngle:
         assert wrap_angle(raw) == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(-100.0, 100.0, allow_nan=False))
+    @example(math.nextafter(math.pi, 4.0))
     def test_range(self, raw):
         wrapped = wrap_angle(raw)
         assert -math.pi < wrapped <= math.pi

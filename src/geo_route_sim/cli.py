@@ -12,8 +12,6 @@ is validated.
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
 
-import csv
-import io
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -141,14 +139,12 @@ def _campaign_csv(
     if sweep is not None:
         key, values = sweep
         cells = [_validated(replace(config, **{key: value})) for value in values]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_HEADER)
+    rows = [METRICS_HEADER]
     for cell in cells:
         cell_protocols = protocols or (cell.protocol,)
         for protocol, metrics in zip(cell_protocols, run_campaign(cell, cell_protocols)):
-            writer.writerow(metrics_row(replace(cell, protocol=protocol), metrics))
-    return buf.getvalue()
+            rows.append(metrics_row(replace(cell, protocol=protocol), metrics))
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _parse_args(argv: Sequence[str]) -> tuple[str, dict[str, str], list[str]]:

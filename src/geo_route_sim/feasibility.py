@@ -6,8 +6,6 @@ zone, both analytically and through an independent point-process Monte Carlo
 estimator, and emits the curve tables as CSV.
 """
 
-import csv
-import io
 import math
 import os
 import threading
@@ -316,13 +314,10 @@ def analyze_csv(config: AnalyzeConfig) -> str:
     once every worker is done, so the bytes do not depend on the schedule.
     """
     config.validate()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     with_mc = config.mc_trials is not None
-    header = ["density", "k", "region", "probability"]
+    rows = [["density", "k", "region", "probability"]]
     if with_mc:
-        header += ["mc_estimate", "mc_stderr"]
-    writer.writerow(header)
+        rows[0] += ["mc_estimate", "mc_stderr"]
     curves = [(FeasibilityParams(density, config.tx_range), region)
               for density in sorted(config.densities) for region in RegionKind]
     means = [mean_node_count(params, region) for params, region in curves]
@@ -346,5 +341,5 @@ def analyze_csv(config: AnalyzeConfig) -> str:
             if with_mc:
                 est = _estimate(tallies[k], config.mc_trials)
                 row += [f"{est.estimate:.10g}", f"{est.stderr:.10g}"]
-            writer.writerow(row)
-    return buf.getvalue()
+            rows.append(row)
+    return "".join(",".join(row) + "\n" for row in rows)

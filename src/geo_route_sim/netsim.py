@@ -62,6 +62,12 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _field_sizes(width: float, height: float) -> dict:
+    """The field sizes and their doubles, the periods a move folds by, by name."""
+    return {"field_width": width, "field_height": height,
+            "2 * field_width": 2.0 * width, "2 * field_height": 2.0 * height}
+
+
 @dataclass
 class SimConfig:
     """Campaign parameters; every field has a usable default."""
@@ -83,9 +89,10 @@ class SimConfig:
     per_hop_latency_ms: float = 2.0
 
     def validate(self) -> None:
-        names = ("field_width", "field_height", "density", "tx_range", "speed_min", "speed_max",
-                 "beacon_interval", "duration", "time_step", "per_hop_latency_ms")
-        _check_positive(**{name: getattr(self, name) for name in names})
+        names = ("density", "tx_range", "speed_min", "speed_max", "beacon_interval", "duration",
+                 "time_step", "per_hop_latency_ms")
+        _check_positive(**_field_sizes(self.field_width, self.field_height),
+                        **{name: getattr(self, name) for name in names})
         if self.speed_min > self.speed_max:
             raise ValueError(
                 f"speed_min must be <= speed_max, got {self.speed_min!r} > {self.speed_max!r}"
@@ -103,10 +110,10 @@ class SimConfig:
                 f"density * field_width * field_height must be <= {MAX_NODES} vehicles, "
                 f"got {expected!r}"
             )
-        # Motion unfolds a coordinate to field size + travel and folds it
-        # mod twice the field size; grid step numbers stay exact below 2**53.
+        # Motion unfolds a coordinate to its axis's field size + travel and folds
+        # it mod twice that size; grid step numbers stay exact below 2**53.
         travel = self.speed_max * (self.duration + self.time_step)
-        if not 2.0 * (self.field_width + self.field_height + travel) < math.inf:
+        if not 2.0 * (max(self.field_width, self.field_height) + travel) < math.inf:
             raise ValueError(f"speed_max * (duration + time_step) overflows, got {travel!r} m")
         steps = self.duration / self.time_step
         if not steps < 2**53:
@@ -198,10 +205,14 @@ def _wrapped(heading: np.ndarray) -> np.ndarray:
     return heading
 
 
-def _moved(start: NetworkSnapshot, t: float, width: float, height: float) -> NetworkSnapshot:
-    """``start`` ``t`` seconds on (``t`` may be negative), every vehicle
-    moving along a straight line that reflects off the field edges; every
-    move from ``start`` reuses the cos and sin of its headings, ``start._trig``.
+def step_mobility(
+    snapshot: NetworkSnapshot, dt: float, field_width: float, field_height: float
+) -> NetworkSnapshot:
+    """``snapshot`` ``dt`` seconds on, for any finite ``dt`` (zero and negative
+    included), every vehicle moving along a straight line that reflects off the
+    field edges: the position folds back inside and the heading mirrors on the
+    violated axis.  Speeds are untouched, and every move from ``snapshot``
+    reuses the cos and sin of its headings, ``snapshot._trig``.
 
     Each axis is a triangle wave: the unfolded coordinate ``u`` taken mod 2W
     lies on the outbound leg when ``u <= W`` and on the mirrored leg, at
@@ -212,40 +223,25 @@ def _moved(start: NetworkSnapshot, t: float, width: float, height: float) -> Net
 
     The move skips :class:`NetworkSnapshot`'s checks, which it meets: :func:`_fold` raises
     unless the positions are finite (2W and 2H are), and wrapped headings lie in [-pi, pi].
-    The result is a new instance, so nothing cached on ``start`` carries over to it.
+    The result is a new instance, so nothing cached on ``snapshot`` carries over to it.
     """
-    speed, (cos, sin) = start.speed, start._trig
-    ux = _fold(start.x + speed * t * cos, 2.0 * width)
-    uy = _fold(start.y + speed * t * sin, 2.0 * height)
-    heading = start.heading.copy()
-    on_x, on_y = np.flatnonzero(ux > width), np.flatnonzero(uy > height)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
+    _check_positive(**_field_sizes(field_width, field_height))
+    speed, (cos, sin) = snapshot.speed, snapshot._trig
+    ux = _fold(snapshot.x + speed * dt * cos, 2.0 * field_width)
+    uy = _fold(snapshot.y + speed * dt * sin, 2.0 * field_height)
+    heading = snapshot.heading.copy()
+    on_x, on_y = np.flatnonzero(ux > field_width), np.flatnonzero(uy > field_height)
     heading[on_x] = math.pi - heading[on_x]
     heading[on_y] = -heading[on_y]
-    np.minimum(ux, 2.0 * width - ux, out=ux)
-    np.minimum(uy, 2.0 * height - uy, out=uy)
+    np.minimum(ux, 2.0 * field_width - ux, out=ux)
+    np.minimum(uy, 2.0 * field_height - uy, out=uy)
     moved = NetworkSnapshot.__new__(NetworkSnapshot)
-    vars(moved).update(transmission_range=start.transmission_range, x=ux, y=uy, speed=speed,
+    vars(moved).update(transmission_range=snapshot.transmission_range, x=ux, y=uy, speed=speed,
                        heading=_wrapped(heading), _headings_in_pi=True)
     ux.flags.writeable = uy.flags.writeable = heading.flags.writeable = False
     return moved
-
-
-def _field_sizes(width: float, height: float) -> dict:
-    """The field sizes and their doubles, the periods a move folds by, by name."""
-    return {"field_width": width, "field_height": height,
-            "2 * field_width": 2.0 * width, "2 * field_height": 2.0 * height}
-
-
-def step_mobility(
-    snapshot: NetworkSnapshot, dt: float, field_width: float, field_height: float
-) -> NetworkSnapshot:
-    """Advance every vehicle ``dt`` seconds along its heading.
-
-    Vehicles crossing a field boundary reflect: the position folds back inside
-    and the heading mirrors on the violated axis.  Speeds are untouched.
-    """
-    _check_positive(dt=dt, **_field_sizes(field_width, field_height))
-    return _moved(snapshot, dt, field_width, field_height)
 
 
 def _beacon_tick(sim_time: float, beacon_interval: float) -> float:
@@ -263,16 +259,17 @@ def beacon_view(
 ) -> NetworkSnapshot:
     """The snapshot as of the most recent beacon tick.
 
-    Each vehicle is moved back along its reflected path by the time elapsed
-    since the tick, which gives its exact position at the tick; with no lag
-    the snapshot itself is returned.  Routing decisions consume this stale
-    view; delivery checks stay on the snapshot's ground truth.
+    Each vehicle is moved back along its reflected path by the lag, the time
+    elapsed since the tick: ``step_mobility(snapshot, -lag, field_width,
+    field_height)`` gives its exact position at the tick; with no lag the
+    snapshot itself is returned.  Routing decisions consume this stale view;
+    delivery checks stay on the snapshot's ground truth.
     """
     if not math.isfinite(sim_time):
         raise ValueError(f"sim_time must be finite, got {sim_time!r}")
     _check_positive(beacon_interval=beacon_interval, **_field_sizes(field_width, field_height))
     lag = sim_time - _beacon_tick(sim_time, beacon_interval)
-    return _moved(snapshot, -lag, field_width, field_height) if lag else snapshot
+    return step_mobility(snapshot, -lag, field_width, field_height) if lag else snapshot
 
 
 def _firing_step(flow_time: float, time_step: float) -> int:

@@ -13,6 +13,8 @@ from .geometry import Position
 
 __all__ = ["ExpectedZone", "RequestZone", "expected_zone", "in_request_zone", "request_zone"]
 
+_MAX = math.nextafter(math.inf, 0.0)  # sys.float_info.max, the largest finite float
+
 
 @dataclass(frozen=True)
 class ExpectedZone:
@@ -61,8 +63,10 @@ def _zone_bounds(x: float, y: float, ez: ExpectedZone) -> tuple[float, float, fl
 
 
 def request_zone(source: Position, ez: ExpectedZone) -> RequestZone:
-    """Smallest axis-aligned rectangle containing the expected zone and the source."""
-    x0, y0, x1, y1 = _zone_bounds(source.x, source.y, ez)
+    """Smallest axis-aligned rectangle containing the expected zone and the source.
+    Its bounds are clamped to +-``sys.float_info.max``, as a Position is finite and
+    an infinite radius gives infinite bounds; no finite point's membership changes."""
+    x0, y0, x1, y1 = (min(max(b, -_MAX), _MAX) for b in _zone_bounds(source.x, source.y, ez))
     return RequestZone(Position(x0, y0), Position(x1, y1))
 
 

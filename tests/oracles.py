@@ -283,7 +283,7 @@ def advance_by_stepping(x, y, speed, heading, dt, width, height):
 def moved_by_mod(start: NetworkSnapshot, t, width, height, cos, sin):
     """(x, y, heading) columns of ``start`` moved ``t`` seconds by the closed
     form as first written: ``np.mod`` folds and ``np.where`` reflections,
-    every step a fresh array.  ``netsim._moved`` must give these bits."""
+    every step a fresh array.  ``netsim.step_mobility`` must give these bits."""
     ux = np.mod(start.x + start.speed * t * cos, 2.0 * width)
     uy = np.mod(start.y + start.speed * t * sin, 2.0 * height)
     flip_x, flip_y = ux > width, uy > height

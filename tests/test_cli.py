@@ -345,6 +345,9 @@ class TestFlagsAreKeys:
           "flows=3"], "density"),
         (["simulate", "node_count=20", "flows=3", "duration=1e-320", "time_step=1e-320"],
          "time_step"),
+        (["simulate", "field_width=1e308", "node_count=5", "flows=3"], "field_width"),
+        (["simulate", "field_width=6e307", "field_height=6e307", "node_count=5", "flows=3"],
+         "field_width"),
     ],
 )
 def test_extreme_configs_finish_or_name_the_key(capsys, argv, key):

@@ -13,7 +13,9 @@ draws span about a hundred blocks, a density whose every trial holds more
 points than one block, and a density so sparse that most trials are empty.
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
@@ -75,3 +77,13 @@ IDS = [f"{argv[0]}{SUFFIX.get(id(argv), '')}-seed{seed}" for argv, seed, _ in GO
 def test_cli_output_digest(capsys, argv, seed, digest):
     assert main(argv + ["--seed", str(seed)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,seed", [(argv, seed) for argv, seed, _ in GOLDEN], ids=IDS)
+def test_cli_output_reads_back_as_csv(capsys, argv, seed):
+    # Rows are joined with bare commas: no field needs the quoting a csv writer would add.
+    assert main(argv + ["--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len({len(row) for row in rows}) == 1
+    assert "".join(",".join(row) + "\n" for row in rows) == out

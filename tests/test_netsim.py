@@ -117,10 +117,18 @@ class TestStepMobility:
                 assert 0.0 <= x <= config.field_width
                 assert 0.0 <= y <= config.field_height
 
-    def test_rejects_non_positive_dt(self):
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_dt_naming_it(self, dt):
         snap = make_snapshot([(0, 0)], 100)
-        with pytest.raises(ValueError):
-            step_mobility(snap, 0.0, 100, 100)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            step_mobility(snap, dt, 100, 100)
+
+    def test_zero_dt_keeps_the_start_position_bits(self):
+        snap = make_snapshot([(0.1, 99.7), (50.0, 0.0), (100.0, 3.3)], 100,
+                             headings={0: 0.4, 1: -2.9}, speeds={0: 12.5, 1: 30.0})
+        moved = step_mobility(snap, 0.0, 100, 100)
+        for name in ("x", "y"):
+            assert getattr(moved, name).tobytes() == getattr(snap, name).tobytes()
 
     @pytest.mark.parametrize("name", ["field_width", "field_height"])
     @pytest.mark.parametrize("size", [-5.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
@@ -429,7 +437,7 @@ class TestMotionBits:
         px, py, speed, heading = (np.array(c) for c in zip(*rows))
         start = NetworkSnapshot(10.0, px * width, py * height, speed, heading)
         trig = np.cos(start.heading), np.sin(start.heading)
-        moved = netsim._moved(start, t, width, height)
+        moved = step_mobility(start, t, width, height)
         want = oracles.moved_by_mod(start, t, width, height, *trig)
         for got, column in zip((moved.x, moved.y, moved.heading), want):
             self.assert_same_bits(got, column)
@@ -499,7 +507,7 @@ class TestCampaignMoves:
         width, height = 2000.0, 1500.0
         start = generate_nodes(SimConfig(field_width=width, field_height=height,
                                          node_count=4000, seed=22))
-        moved = netsim._moved(start, t, width, height)
+        moved = step_mobility(start, t, width, height)
         assert vars(moved)["_headings_in_pi"] is True  # set by the move, not computed
         # Rebuilt from its columns, the moved snapshot passes the checks and
         # finds the flag itself.
@@ -531,7 +539,7 @@ class TestCampaignMoves:
         start._trig  # cached on the start, as a campaign's first move does
         start._index = object()  # stands for any other state cached on it
         assert {"_trig", "_index"} <= set(vars(start))
-        for moved in (netsim._moved(start, 7.5, width, height),
+        for moved in (step_mobility(start, 7.5, width, height),
                       step_mobility(start, 0.5, width, height),
                       beacon_view(start, 1.7, 1.0, width, height)):
             assert set(vars(moved)) == {"transmission_range", "x", "y", "speed", "heading",

@@ -691,6 +691,18 @@ class TestRoute:
         snap = make_snapshot([(0, 0), (900, 0)], 100)
         assert route(protocol, 0, 1, snap).outcome is outcome
 
+    def test_an_infinite_expected_zone_routes_alike_under_every_protocol(self):
+        # The destination's zone radius, 20 m/s * 1e308 s, overflows to inf; LAR's
+        # request zone clamps its infinite bounds to finite corners.
+        snap = make_snapshot([(0, 0), (90, 0), (180, 0)], 100, speeds={2: 20.0})
+        for protocol in ("dir", "lar", "dlar"):
+            result = route(protocol, 0, 2, snap, now=1e308, known_time=0.0)
+            assert (result.outcome, result.path) == (Outcome.DELIVERED, (0, 1, 2))
+        ez = expected_zone(Position(180, 0), 20.0, 0.0, 1e308)
+        assert ez.radius == math.inf
+        result = lar_route_discovery(0, 2, snap, ez, DEFAULT_TTL)
+        assert (result.outcome, result.path) == (Outcome.DELIVERED, (0, 1, 2))
+
     def test_ttl_exhaustion(self):
         snap = make_snapshot([(0, 0), (90, 0), (180, 0), (270, 0)], 100)
         result = route("dir", 0, 3, snap, ttl=2)

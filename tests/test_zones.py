@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from geo_route_sim.geometry import Position
 from geo_route_sim.zones import (
     ExpectedZone,
     RequestZone,
+    _zone_bounds,
     expected_zone,
     in_request_zone,
     request_zone,
@@ -17,6 +20,8 @@ from geo_route_sim.zones import (
 coords = st.floats(-500.0, 500.0, allow_nan=False, allow_infinity=False)
 positions = st.builds(Position, coords, coords)
 radii = st.floats(0.0, 200.0, allow_nan=False)
+any_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([-sys.float_info.max, sys.float_info.max]))
 
 
 class TestExpectedZone:
@@ -142,6 +147,23 @@ class TestMembership:
     def test_outside_on_x(self):
         rz = request_zone(Position(0, 0), ExpectedZone(Position(100, 100), 50.0))
         assert not in_request_zone(151, 75, rz)
+
+    @given(
+        st.tuples(any_finite, any_finite),
+        st.tuples(any_finite, any_finite),
+        st.one_of(st.floats(0.0, allow_infinity=False), st.just(math.inf)),
+        st.lists(st.tuples(any_finite, any_finite), min_size=1, max_size=20),
+    )
+    def test_clamped_zone_keeps_every_finite_points_membership(
+        self, source, center, radius, points
+    ):
+        # Bounds that overflow, or come from an infinite radius, are clamped to the
+        # largest finite float; the D-LAR hop masks with the unclamped bounds.
+        x, y = np.array(points).T
+        ez = ExpectedZone(Position(*center), radius)
+        x0, y0, x1, y1 = _zone_bounds(*source, ez)
+        want = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+        assert np.array_equal(in_request_zone(x, y, request_zone(Position(*source), ez)), want)
 
 
 def _disk_extremes(center: Position, radius: float) -> list[Position]:

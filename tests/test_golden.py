@@ -8,6 +8,10 @@ ttl drops), a compare density sweep whose every cell draws its own walk,
 dense DIR and LAR campaigns of 4,000 vehicles, LAR on a sparse field of
 about 30,000 vehicles whose floods run 14 hops, and DIR and D-LAR on a field
 of 1e300 m, where the greedy chooser's angle products overflow.
+The three campaign workloads of ``bench/run.py`` run at two seeds each:
+compare-sparse (DIR, LAR and D-LAR on 800 vehicles, 60 flows), greedy-dense
+(D-LAR on 8,000 vehicles, 50 flows) and mobility-long (DIR on 4,000
+vehicles, 6 flows over 60 s).
 Three analyze runs stress the streamed Monte Carlo draw: 30,000 trials, whose
 draws span about a hundred blocks, a density whose every trial holds more
 points than one block, and a density so sparse that most trials are empty.
@@ -36,6 +40,12 @@ WIDE_LAR = ["simulate", "protocol=lar", "field_width=5477", "field_height=5477",
 HUGE = ["simulate", "field_width=1e300", "field_height=1e300", "tx_range=2.5e299",
         "node_count=60", "flows=30"]
 HUGE_DIR, HUGE_DLAR = HUGE + ["protocol=dir"], HUGE + ["protocol=dlar"]
+# The campaign workloads of bench/run.py, copied so that the benchmark can change alone.
+COMPARE_SPARSE = ["compare", *FIELD, "density=0.0002", "node_count=800", "flows=60"]
+GREEDY_DENSE = ["simulate", *FIELD, "density=0.002", "node_count=8000", "protocol=dlar",
+                "flows=50", "duration=7.5"]
+MOBILITY_LONG = ["simulate", *FIELD, "density=0.001", "node_count=4000", "protocol=dir",
+                 "duration=60", "flows=6"]
 
 MC = ["analyze", "--mc-trials", "2000"]
 MC_BENCH = ["analyze", "--mc-trials", "30000"]
@@ -61,6 +71,12 @@ GOLDEN = [
     (WIDE_LAR, 1, "60a58e2edd96eb46d554cfe5b0a196844b76fff94a9086e9a8c88394a5938be4"),
     (HUGE_DIR, 1, "491d16114dbd998f2e77b1b81f652248a80882a89d8e96099395e9c352fa3d98"),
     (HUGE_DLAR, 1, "0ead0ad9e56b89c7f5f1d7a25258fe1c970fca6a91631626d2b10a97586516cc"),
+    (COMPARE_SPARSE, 1, "f0f43c4e2dcfb1990d569867cfd833bc531f7ba3144f6b0b577a23b307686377"),
+    (COMPARE_SPARSE, 2, "328cb2868853e71b575fee31936c5f349850c419cee704dcf7269789f4b45b24"),
+    (GREEDY_DENSE, 1, "fbc999a70c07ac412d996ec100a55b5f1d28e778c87f329b21f750fadd5ab7bf"),
+    (GREEDY_DENSE, 2, "1dceb3d5637eecb2de518ba288964c5f9dc47ce979b274a68c9e7855b4627540"),
+    (MOBILITY_LONG, 1, "743d10d5a8078b185b8f75ce23f4f6607a0af98b3996019fde30971a7a223bd8"),
+    (MOBILITY_LONG, 2, "aa8ec86a8dcff8b109478c87a1d188307581c3c5e073c9aad2b6b53db24c0594"),
 ]
 
 SUFFIX = {
@@ -68,7 +84,8 @@ SUFFIX = {
     id(MC_SPARSE): "-mc-sparse", id(COMPARE_TTL): "-ttl5",
     id(COMPARE_SWEEP): "-sweep", id(SIMULATE_LAR): "-lar4000",
     id(SIMULATE_DIR): "-dir4000", id(WIDE_LAR): "-lar-wide", id(HUGE_DIR): "-dir1e300",
-    id(HUGE_DLAR): "-dlar1e300",
+    id(HUGE_DLAR): "-dlar1e300", id(COMPARE_SPARSE): "-bench-compare-sparse",
+    id(GREEDY_DENSE): "-bench-greedy-dense", id(MOBILITY_LONG): "-bench-mobility-long",
 }
 IDS = [f"{argv[0]}{SUFFIX.get(id(argv), '')}-seed{seed}" for argv, seed, _ in GOLDEN]
 

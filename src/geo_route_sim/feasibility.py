@@ -135,9 +135,9 @@ def region_counts(
     point's x, then every point's y, all from one generator seeded with
     ``seed``.  They are taken in blocks of ``_BLOCK_POINTS`` points into reused
     buffers, and hits are tallied at trial ends, not per point.  Memory holds
-    the per-trial counts and ends, one block, and per-block temporaries that
-    span every trial end the block covers: about 300,000 ends when trials
-    average 0.1 box points.  The call touches no state outside its own arrays
+    the per-trial counts and ends, one block, and temporaries for at most
+    ``_BLOCK_POINTS`` of the trial ends a block covers, however sparse the
+    draw.  The call touches no state outside its own arrays
     and generators, and numpy releases the GIL while it draws, so draws on
     different threads run at once.
     """
@@ -172,19 +172,24 @@ def region_counts(
         xs += ys
         np.less_equal(xs, r * r, out=inside)
         last = first + int(np.searchsorted(ends[first:], start + n, side="right"))
-        if last == first:
-            carry += np.count_nonzero(inside)
-        else:
+        prev = 0  # block position of the last trial end taken
+        # A sparse block ends many trials; its ends are taken in slices, so that
+        # the per-end temporaries stay the size of a block.
+        for lo in range(first, last, _BLOCK_POINTS):
+            hi = min(lo + _BLOCK_POINTS, last)
+            local = ends[lo:hi] - start
             # The first trial at each distinct end takes the hits since the end
             # before; reduceat would give a[i], not 0, at a repeated index.
-            local = ends[first:last] - start
-            new_end = np.concatenate(([True], local[1:] != local[:-1]))
+            new_end = local != np.concatenate(([prev], local[:-1]))
             bounds = local[new_end]
-            starts = np.concatenate(([0], bounds[:-1]))
-            sums = np.add.reduceat(inside.view(np.uint8)[: bounds[-1]], starts)
-            counts[first:last][new_end] = sums
+            if len(bounds):
+                starts = np.concatenate(([prev], bounds[:-1]))
+                counts[lo:hi][new_end] = np.add.reduceat(inside.view(np.uint8)[: bounds[-1]], starts)
+                prev = int(bounds[-1])
+        if last > first:
             counts[first] += carry
-            carry = np.count_nonzero(inside[bounds[-1] :])
+            carry = 0
+        carry += np.count_nonzero(inside[prev:])
         first = last
     return counts
 

@@ -25,6 +25,7 @@ from .routing import (
     PROTOCOLS,
     RouteResult,
     route,
+    route_lockstep,
 )
 
 __all__ = [
@@ -37,6 +38,9 @@ MAX_NODES = 1_000_000
 # Most flows per campaign.  100,000 D-LAR flows take ~5 s between two vehicles, but
 # each adds 0.15-0.4 s (memory-bound) among MAX_NODES, so this cap alone does not bound the work.
 MAX_FLOWS = 100_000
+# Most snapshot rows a campaign holds for one window of flows routed together (24 B per
+# moved row: x, y and heading); sized by measurement, like routing's flood blocks.
+_WINDOW_ROWS = 24_576
 
 METRICS_HEADER = [
     "protocol",
@@ -287,6 +291,23 @@ def _firing_step(flow_time: float, time_step: float) -> int:
     return step if flow_time <= step * time_step + slack else step + 1
 
 
+def _windows(schedule: list[tuple], rows: int):
+    """The runs of consecutive flows of ``schedule`` that a campaign routes
+    together, in order: each run is as long as its distinct firing times and
+    beacon ticks, at ``rows`` vehicles a snapshot, hold at most
+    ``_WINDOW_ROWS`` rows, and holds at least one flow."""
+    window, times = [], set()
+    for flow in schedule:
+        more = times | set(flow[2:])
+        if window and len(more) * rows > _WINDOW_ROWS:
+            yield window
+            window, more = [], set(flow[2:])
+        window.append(flow)
+        times = more
+    if window:
+        yield window
+
+
 def _metrics(results: list[RouteResult], per_hop_latency_ms: float) -> CampaignMetrics:
     """Aggregate the route results of one protocol."""
     hops = [r.hop_count for r in results if r.outcome is Outcome.DELIVERED]
@@ -329,17 +350,29 @@ def run_campaign(
     n, flows = len(start), config.flows if len(start) >= 2 else 0
     steps = [_firing_step(i * config.duration / flows, config.time_step) for i in range(flows)]
     pairs = [(int(flow_rng.integers(n)), int(flow_rng.integers(n - 1))) for _ in range(flows)]
-    built = {0.0: start}  # the snapshots of the current firing time and tick
-    results: list[list[RouteResult]] = [[] for _ in protocols]
+    schedule = []  # (source, destination, firing time, beacon tick) per flow
     for step, (si, di) in zip(steps, pairs):
-        di += di >= si  # a uniform destination other than the source
         sim_time = step * config.time_step
-        tick = _beacon_tick(sim_time, config.beacon_interval)
-        built = {t: built[t] if t in built else step_mobility(start, t, width, height)
-                 for t in sorted({tick, sim_time})}
+        # A uniform destination other than the source.
+        schedule.append((si, di + (di >= si), sim_time, _beacon_tick(sim_time, config.beacon_interval)))
+    built = {0.0: start}  # the snapshots of the current window, by time
+    results: list[list[RouteResult]] = [[] for _ in protocols]
+    for window in _windows(schedule, n):
+        times = {t for _, _, now, tick in window for t in (now, tick)}
+        built = {t: snap for t, snap in built.items() if t in times}
+        for t in sorted(times - built.keys()):
+            built[t] = step_mobility(start, t, width, height)
+        greedy = iter(route_lockstep([
+            (protocol, si, di, built[now], now, config.ttl, built[tick], tick)
+            for protocol in protocols if protocol != "lar" for si, di, now, tick in window
+        ]))
         for protocol, routed in zip(protocols, results):
-            routed.append(route(protocol, si, di, built[sim_time], now=sim_time,
-                                ttl=config.ttl, known=built[tick], known_time=tick))
+            routed.extend(
+                next(greedy) if protocol != "lar" else route(
+                    protocol, si, di, built[now], now=now, ttl=config.ttl, known=built[tick],
+                    known_time=tick)
+                for si, di, now, tick in window
+            )
     return [_metrics(routed, config.per_hop_latency_ms) for routed in results]
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -186,59 +186,104 @@ def _known_view(known: Optional[NetworkSnapshot], snapshot: NetworkSnapshot) -> 
     return known
 
 
-def _greedy_next_hop(snapshot, known, v_id, dest, exclude, ez=None) -> Optional[int]:
-    """:func:`_choose_hop` from ``v_id``, past the ``exclude`` entries that name a vehicle."""
-    row, known, n = snapshot.row(v_id), _known_view(known, snapshot), len(snapshot)
+def _hop(snapshot, known, v_id, dest, exclude, ez=None) -> tuple:
+    """The :func:`_next_hops` entry of a hop from ``v_id``, past the ``exclude``
+    entries that name a vehicle."""
+    row, n = snapshot.row(v_id), len(snapshot)
     skip = [row, *(int(v) for v in exclude if 0 <= v < n and v % 1 == 0)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _choose_hop(snapshot, known, row, dest, skip, ez)
+    return snapshot, _known_view(known, snapshot), row, dest, skip, ez
 
 
-def _choose_hop(snapshot, known, row, dest, skip, ez=None) -> Optional[int]:
-    """The compass choice shared by DIR and D-LAR: the row of forwarder
-    ``row``'s next hop toward position ``dest``, or None.
+def _next_hops(hops: list) -> list[Optional[int]]:
+    """The compass choice shared by DIR and D-LAR, for every entry of ``hops`` in
+    one batched pass: the row of each forwarder's next hop, or None.
 
-    Candidates are the forwarder's neighbors outside the rows ``skip`` (the
-    forwarder among them), except where their ``known`` position is the
-    forwarder's true one, which gives no direction.  With an expected zone
-    ``ez`` (D-LAR), candidates must lie inside the request zone anchored at
-    the forwarder, and those heading within pi/2 of it are preferred when
-    there are any (by compares where all headings lie in [-pi, pi]).  The
-    winner minimises (deviation angle toward ``dest``, distance to ``dest``, row).
+    An entry is ``(snapshot, known, row, dest, skip, ez)``: forwarder ``row``
+    of ``snapshot`` sends toward position ``dest``.  Its candidates are its
+    neighbors outside the rows ``skip`` (the forwarder among them), except
+    where their ``known`` position is the forwarder's true one, which gives no
+    direction.  With an expected zone ``ez`` (D-LAR), candidates must lie
+    inside the request zone anchored at the forwarder, and those heading
+    within pi/2 of it are preferred when there are any (by compares where all
+    of the snapshot's headings lie in [-pi, pi]).  The winner minimises
+    (deviation angle toward ``dest``, distance to ``dest``, row).
 
-    The pool's angles are computed as arrays from the products
-    :func:`deviation_angle` forms; numpy's ``arctan2`` may differ from
-    ``math.atan2`` by an ulp, so the candidates within a relative 2**-40
-    (plus 2**-1000) of the least angle are settled by the exact scalar key.
-    A product that overflows makes the cut NaN, which keeps every candidate
-    (the caller ignores overflow and invalid operations).
+    Each entry scans its own snapshot (:func:`_near`); the masks, the angles
+    and each entry's least angle are then found over the candidates of all
+    entries at once, D-LAR's first.  The angles are computed as arrays from
+    the products :func:`deviation_angle` forms; numpy's ``arctan2`` may
+    differ from ``math.atan2`` by an ulp, so an entry's candidates within a
+    relative 2**-40 (plus 2**-1000) of its least angle are settled by the
+    exact scalar key.  A product that overflows makes the cut NaN, which
+    keeps every candidate.  The choices are the ones each entry alone gets.
     """
-    hx, hy = snapshot.x.item(row), snapshot.y.item(row)
-    if dest.x == hx and dest.y == hy:
-        raise ValueError("destination position coincides with the forwarder")
-    rows = _near(snapshot, hx, hy, skip)
-    x, y = known.x[rows], known.y[rows]
-    keep = (x != hx) | (y != hy)
-    if ez is not None:
-        x0, y0, x1, y1 = _zone_bounds(hx, hy, ez)  # the request zone anchored here
-        keep &= (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
-        turn = snapshot.heading[rows] - snapshot.heading.item(row)
-        aligned = keep & ((((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR))
-                          if snapshot._headings_in_pi else (np.abs(wrap_angle(turn)) <= HALF_PI))
-        keep = aligned if aligned.any() else keep
-    x, y, rows = x[keep], y[keep], rows[keep]
-    if not len(rows):
-        return None
-    ux, uy, vx, vy = x - hx, y - hy, dest.x - hx, dest.y - hy
-    angle = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
-    near = (~(angle > angle.min() * (1 + 2**-40) + 2**-1000)).nonzero()[0]
-    if len(near) == 1:
-        return rows.item(near[0])
-    here = Position(hx, hy)
-    columns = (x[near].tolist(), y[near].tolist(), rows[near].tolist())
-    pool = [(Position(px, py), r) for px, py, r in zip(*columns)]
-    best = min(pool, key=lambda c: (deviation_angle(here, c[0], dest), distance(c[0], dest), c[1]))
-    return best[1]
+    order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
+    choices: list[Optional[int]] = [None] * len(hops)
+    taken, starts, sizes, rows, xs, ys, here, zoned, headings, wraps = ([] for _ in range(10))
+    total = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in order:
+            snapshot, known, row, dest, skip, ez = hops[i]
+            hx, hy = snapshot.x.item(row), snapshot.y.item(row)
+            if dest.x == hx and dest.y == hy:
+                raise ValueError("destination position coincides with the forwarder")
+            near = _near(snapshot, hx, hy, skip)
+            if not len(near):
+                continue
+            taken.append(i)
+            starts.append(total)
+            sizes.append(len(near))
+            total += len(near)
+            rows.append(near)
+            xs.append(known.x[near])
+            ys.append(known.y[near])
+            here.append((hx, hy, dest.x - hx, dest.y - hy))
+            if ez is not None:
+                zoned.append((*_zone_bounds(hx, hy, ez), snapshot.heading.item(row)))
+                headings.append(snapshot.heading[near])
+                if not snapshot._headings_in_pi:
+                    wraps.append(len(zoned) - 1)
+        if not taken:
+            return choices
+        xy = np.concatenate(xs + ys).reshape(2, -1)  # the candidates' known x and y
+        at = np.array(starts)
+        fwd = np.array(here).T.repeat(sizes, axis=1)  # per candidate: hx, hy, vx, vy
+        ne = xy != fwd[:2]
+        keep = ne[0] | ne[1]
+        if zoned:
+            z = len(zoned)
+            m = starts[z - 1] + sizes[z - 1]  # the D-LAR entries' candidates
+            x0, y0, x1, y1, heading = np.array(zoned).T.repeat(sizes[:z], axis=1)
+            zone = keep[:m]
+            x, y = xy[:, :m]
+            zone &= (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+            turn = np.concatenate(headings) - heading
+            aligned = ((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR)
+            for j in wraps:
+                part = slice(starts[j], starts[j] + sizes[j])
+                aligned[part] = np.abs(wrap_angle(turn[part])) <= HALF_PI
+            aligned &= zone
+            zone &= aligned | ~np.logical_or.reduceat(aligned, at[:z]).repeat(sizes[:z])
+        u = np.subtract(xy, fwd[:2], out=xy)
+        dot = u * fwd[2:]  # ux vx, uy vy
+        cross = np.multiply(u, fwd[:1:-1], out=u)  # ux vy, uy vx
+        angle = np.arctan2(np.abs(cross[0] - cross[1]), dot[0] + dot[1])
+        angle[~keep] = math.inf
+        cut = np.minimum.reduceat(angle, at) * (1 + 2**-40) + 2**-1000
+        near = (keep & ~(angle > cut.repeat(sizes))).nonzero()[0]
+    bounds = [*near.searchsorted(at).tolist(), len(near)]
+    picked = np.concatenate(rows)[near].tolist()
+    for j, i in enumerate(taken):
+        a, b = bounds[j], bounds[j + 1]
+        if b - a == 1:
+            choices[i] = picked[a]
+        elif b > a:
+            snapshot, known, row, dest, _, _ = hops[i]
+            h = Position(snapshot.x.item(row), snapshot.y.item(row))
+            pool = [(Position(known.x.item(r), known.y.item(r)), r) for r in picked[a:b]]
+            best = min(pool, key=lambda c: (deviation_angle(h, c[0], dest), distance(c[0], dest), c[1]))
+            choices[i] = best[1]
+    return choices
 
 
 def dir_next_hop(
@@ -256,7 +301,7 @@ def dir_next_hop(
     (default: ``snapshot``).  Ties break toward the smaller distance to the
     destination, then the smaller id.  Returns None when no candidate exists.
     """
-    return _greedy_next_hop(snapshot, known, v_id, dest_pos, exclude)
+    return _next_hops([_hop(snapshot, known, v_id, dest_pos, exclude)])[0]
 
 
 def dlar_next_hop(
@@ -276,7 +321,7 @@ def dlar_next_hop(
     zone candidate when none is aligned.  Ties break as in
     :func:`dir_next_hop`.
     """
-    return _greedy_next_hop(snapshot, known, v_id, ez.center, exclude, ez)
+    return _next_hops([_hop(snapshot, known, v_id, ez.center, exclude, ez)])[0]
 
 
 def lar_route_discovery(
@@ -366,38 +411,68 @@ def route(
 
     Greedy protocols (``dir``/``dlar``) hop until the destination itself is
     within transmission range (direct final hop) or a drop condition fires;
-    ``lar`` delegates to :func:`lar_route_discovery`.
+    ``lar`` delegates to :func:`lar_route_discovery`.  This is
+    :func:`route_lockstep` of one request.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
-    if ttl <= 0:
-        raise ValueError(f"ttl must be > 0, got {ttl!r}")
-    src, dst = snapshot.row(source_id), snapshot.row(dest_id)
-    if known_time is not None and known_time > now:
-        raise ValueError(f"known_time must be <= now, got {known_time!r} > {now!r}")
-    known = _known_view(known, snapshot)
-    dest_last = Position(float(known.x[dst]), float(known.y[dst]))
-    t0 = now if known_time is None else known_time
-    ez = expected_zone(dest_last, float(snapshot.speed[dst]), t0, now)
-    if src == dst:
-        return RouteResult(Outcome.DELIVERED, (src,))
-    if protocol == "lar":
-        return lar_route_discovery(source_id, dest_id, snapshot, ez, ttl)
-    x, y = snapshot.x, snapshot.y
-    tx, ty = x.item(dst), y.item(dst)
-    path = np.empty(min(ttl + 1, len(snapshot)), dtype=np.intp)  # a path never revisits a row
-    path[0], hops, ez = src, 0, ez if protocol == "dlar" else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        while hops < ttl:  # the direct final hop needs budget too
-            row = path.item(hops)
-            hx, hy = x.item(row), y.item(row)
-            if math.hypot(tx - hx, ty - hy) <= snapshot.transmission_range:  # geometry.distance
-                return RouteResult(Outcome.DELIVERED, (*path[:hops + 1].tolist(), dst))
-            if dest_last.x == hx and dest_last.y == hy:
-                break  # stale knowledge led onto the destination's old spot: no direction left
-            if (nxt := _choose_hop(snapshot, known, row, dest_last, path[:hops + 1], ez)) is None:
-                break
-            hops += 1
-            path[hops] = nxt
-    outcome = Outcome.TTL_DROP if hops == ttl else Outcome.VOID_DROP
-    return RouteResult(outcome, tuple(path[:hops + 1].tolist()))
+    return route_lockstep([(protocol, source_id, dest_id, snapshot, now, ttl, known, known_time)])[0]
+
+
+def route_lockstep(requests: Sequence[tuple]) -> list[RouteResult]:
+    """:func:`route` of every request, each a tuple of its arguments in order
+    (``protocol, source_id, dest_id, snapshot, now, ttl, known, known_time``).
+
+    Each request has its own snapshot and beacon view.  LAR requests are
+    flooded one by one, as they come; the greedy packets then hop in lockstep
+    rounds.  In a round, each live packet
+    takes its checks (the ttl, the direct final hop, a stop on the
+    destination's stale spot), then the next hops of all the packets still
+    moving are chosen in one :func:`_next_hops` pass.  The results are those
+    of routing each request alone, in request order.
+    """
+    results: list[Optional[RouteResult]] = [None] * len(requests)
+    live = []
+    for i, (protocol, source_id, dest_id, snapshot, now, ttl, known, known_time) in enumerate(requests):
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
+        if ttl <= 0:
+            raise ValueError(f"ttl must be > 0, got {ttl!r}")
+        src, dst = snapshot.row(source_id), snapshot.row(dest_id)
+        if known_time is not None and known_time > now:
+            raise ValueError(f"known_time must be <= now, got {known_time!r} > {now!r}")
+        known = _known_view(known, snapshot)
+        dest_last = Position(float(known.x[dst]), float(known.y[dst]))
+        t0 = now if known_time is None else known_time
+        ez = expected_zone(dest_last, float(snapshot.speed[dst]), t0, now)
+        if src == dst:
+            results[i] = RouteResult(Outcome.DELIVERED, (src,))
+        elif protocol == "lar":
+            results[i] = lar_route_discovery(src, dst, snapshot, ez, ttl)
+        else:
+            ez = ez if protocol == "dlar" else None
+            live.append((i, snapshot, known, [src], dst, dest_last, ez, ttl))
+    while live:
+        moving, hops = [], []
+        for packet in live:
+            i, snapshot, known, path, dst, dest, ez, ttl = packet
+            row = path[-1]
+            if len(path) > ttl:  # the direct final hop needs budget too
+                results[i] = RouteResult(Outcome.TTL_DROP, tuple(path))
+                continue
+            hx, hy = snapshot.x.item(row), snapshot.y.item(row)
+            reach = snapshot.transmission_range
+            if math.hypot(snapshot.x.item(dst) - hx, snapshot.y.item(dst) - hy) <= reach:
+                results[i] = RouteResult(Outcome.DELIVERED, (*path, dst))  # geometry.distance
+            elif dest.x == hx and dest.y == hy:
+                # Stale knowledge led onto the destination's old spot: no direction left.
+                results[i] = RouteResult(Outcome.VOID_DROP, tuple(path))
+            else:
+                moving.append(packet)
+                hops.append((snapshot, known, row, dest, path, ez))
+        live = []
+        for packet, nxt in zip(moving, _next_hops(hops)):
+            if nxt is None:
+                results[packet[0]] = RouteResult(Outcome.VOID_DROP, tuple(packet[3]))
+            else:
+                packet[3].append(nxt)
+                live.append(packet)
+    return results

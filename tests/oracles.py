@@ -16,7 +16,7 @@ import numpy as np
 
 from geo_route_sim.geometry import Position, deviation_angle, distance, wrap_angle
 from geo_route_sim.routing import HALF_PI, NetworkSnapshot, Outcome, RouteResult
-from geo_route_sim.zones import in_request_zone
+from geo_route_sim.zones import expected_zone, in_request_zone, request_zone
 
 
 def make_snapshot(points, tx, headings=None, speeds=None) -> NetworkSnapshot:
@@ -133,7 +133,7 @@ def argmin_next_hop(snapshot, v_id, target_x, target_y, candidate_ids):
 def greedy_by_scalar_min(snapshot, known, row, here, heading, dest, exclude, zone=None):
     """The greedy chooser ranked wholly by the scalar key: every candidate's
     ``(deviation_angle, distance, row)`` through one Python ``min``, with the
-    candidate filters of ``routing._greedy_next_hop``.  The forwarder's
+    candidate filters of ``routing._next_hops``.  The forwarder's
     position ``here``, its ``heading`` and the request ``zone`` (D-LAR;
     None for DIR) are given explicitly rather than derived from ``row``, and
     ``exclude`` holds rows only.  Unlike the acos oracle above it shares the
@@ -180,6 +180,46 @@ def dlar_oracle(snapshot, v_id, ez, exclude):
     return argmin_next_hop(
         snapshot, v_id, ez.center.x, ez.center.y, dlar_candidates(snapshot, v_id, ez, exclude)
     )
+
+
+def route_by_hops(protocol, src, dst, snapshot, now=0.0, ttl=64, known=None, known_time=None,
+                  acos=False) -> RouteResult:
+    """A DIR or D-LAR packet driven one hop at a time, each hop decided alone.
+
+    At each forwarder the ttl is spent first; then a forwarder within range
+    of the destination's true position hands the packet over, and one that
+    stands on the destination's known spot stops with no direction left;
+    otherwise the packet moves to the hop chosen toward that spot (D-LAR:
+    inside the request zone anchored at the forwarder, for the expected zone
+    of the destination's known speed over the lag).  The choice is
+    :func:`greedy_by_scalar_min`'s, or with ``acos`` that of
+    :func:`dir_oracle` or :func:`dlar_oracle`, which take no lagged view.
+    """
+    if src == dst:
+        return RouteResult(Outcome.DELIVERED, (src,))
+    known = snapshot if known is None else known
+    dest = position(known, dst)
+    ez = expected_zone(dest, snapshot.speed.item(dst), now if known_time is None else known_time, now)
+    path = [src]
+    while len(path) <= ttl:
+        row = path[-1]
+        here = position(snapshot, row)
+        if distance(here, position(snapshot, dst)) <= snapshot.transmission_range:
+            return RouteResult(Outcome.DELIVERED, (*path, dst))
+        if here == dest:
+            return RouteResult(Outcome.VOID_DROP, tuple(path))
+        if acos:
+            assert known is snapshot
+            nxt = (dir_oracle(snapshot, row, dest.x, dest.y, path) if protocol == "dir"
+                   else dlar_oracle(snapshot, row, ez, path))
+        else:
+            zone = request_zone(here, ez) if protocol == "dlar" else None
+            nxt = greedy_by_scalar_min(snapshot, known, row, here, snapshot.heading.item(row),
+                                       dest, path, zone)
+        if nxt is None:
+            return RouteResult(Outcome.VOID_DROP, tuple(path))
+        path.append(nxt)
+    return RouteResult(Outcome.TTL_DROP, tuple(path))
 
 
 def lar_bfs_oracle(snapshot, source_id, dest_id, dest_last_x, dest_last_y, radius):

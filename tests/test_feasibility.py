@@ -282,6 +282,20 @@ class TestRegionCountBlocks:
         assert peak < 8_000_000
 
 
+    def test_a_sparse_draw_peaks_no_higher_than_a_dense_one(self):
+        # A box mean of 0.1 points ends about ten trials per point drawn, so a
+        # block covers some 300,000 trial ends; they are taken in slices.
+        def peak(density, region):
+            tracemalloc.start()
+            try:
+                region_counts(FeasibilityParams(density, 10.0), region, 300_000, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sparse = peak(0.001, RegionKind.QUARTER_CIRCLE)
+        assert sparse <= peak(0.004, RegionKind.FULL_CIRCLE)
+
 class TestAnalyzeCsv:
     def test_default_grid_shape(self):
         lines = analyze_csv(AnalyzeConfig()).splitlines()

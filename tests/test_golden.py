@@ -12,6 +12,8 @@ The three campaign workloads of ``bench/run.py`` run at two seeds each:
 compare-sparse (DIR, LAR and D-LAR on 800 vehicles, 60 flows), greedy-dense
 (D-LAR on 8,000 vehicles, 50 flows) and mobility-long (DIR on 4,000
 vehicles, 6 flows over 60 s).
+A campaign routes its DIR and D-LAR flows in lockstep windows; every
+campaign run keeps its bytes with windows of one flow and of all flows.
 Three analyze runs stress the streamed Monte Carlo draw: 30,000 trials, whose
 draws span about a hundred blocks, a density whose every trial holds more
 points than one block, and a density so sparse that most trials are empty.
@@ -23,6 +25,7 @@ import io
 
 import pytest
 
+from geo_route_sim import netsim
 from geo_route_sim.cli import main
 
 FIELD = ["field_width=2000", "field_height=2000"]
@@ -104,3 +107,15 @@ def test_cli_output_reads_back_as_csv(capsys, argv, seed):
     rows = list(csv.reader(io.StringIO(out)))
     assert len({len(row) for row in rows}) == 1
     assert "".join(",".join(row) + "\n" for row in rows) == out
+
+
+CAMPAIGNS = [(argv, seed, digest) for argv, seed, digest in GOLDEN if argv[0] != "analyze"]
+
+
+@pytest.mark.parametrize("rows", [1, 2**40], ids=["flow-windows", "one-window"])
+@pytest.mark.parametrize("argv,seed,digest", CAMPAIGNS,
+                         ids=[i for i, (argv, _, _) in zip(IDS, GOLDEN) if argv[0] != "analyze"])
+def test_window_size_moves_no_byte(capsys, monkeypatch, argv, seed, digest, rows):
+    monkeypatch.setattr(netsim, "_WINDOW_ROWS", rows)
+    assert main(argv + ["--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -474,16 +475,16 @@ class TestMotionBits:
                               speed_min=20.0, speed_max=40.0, duration=30.0, flows=40,
                               time_step=0.4, beacon_interval=beacon_interval)
         seen, fired = {}, set()
-        route = netsim.route
+        route_lockstep = netsim.route_lockstep
 
-        def spy(protocol, source, dest, snapshot, now, known, known_time, **kw):
-            assert (known is snapshot) == (known_time == now)  # no lag: the same snapshot
-            seen[now], seen[known_time] = snapshot, known
-            fired.add(now)
-            return route(protocol, source, dest, snapshot, now=now, known=known,
-                         known_time=known_time, **kw)
+        def spy(requests):
+            for _, _, _, snapshot, now, _, known, known_time in requests:
+                assert (known is snapshot) == (known_time == now)  # no lag: the same snapshot
+                seen[now], seen[known_time] = snapshot, known
+                fired.add(now)
+            return route_lockstep(requests)
 
-        monkeypatch.setattr(netsim, "route", spy)
+        monkeypatch.setattr(netsim, "route_lockstep", spy)
         run_campaign(config)
         start = generate_nodes(config)
         rows = list(zip(start.x.tolist(), start.y.tolist(), start.speed.tolist(),
@@ -675,8 +676,15 @@ class TestRunCampaign:
         built, results = [], []
         post_init = Position.__post_init__
         monkeypatch.setattr(Position, "__post_init__", lambda p: built.append(p) or post_init(p))
-        route = netsim.route
+        # LAR routes each flow alone; DIR and D-LAR route a window of flows in lockstep.
+        route, route_lockstep = netsim.route, netsim.route_lockstep
+
+        def lockstep(requests):
+            results.extend(routed := route_lockstep(requests))
+            return routed
+
         monkeypatch.setattr(netsim, "route", lambda *a, **k: results.append(route(*a, **k)) or results[-1])
+        monkeypatch.setattr(netsim, "route_lockstep", lockstep)
         config = small_config(
             field_width=2000.0, field_height=2000.0, node_count=2000, tx_range=250.0,
             duration=10.0, flows=20, protocol=protocol,
@@ -711,15 +719,16 @@ class TestRunCampaign:
         monkeypatch.setattr(netsim, "_firing_step",
                             lambda *a: steps.append(firing_step(*a)) or steps[-1])
         monkeypatch.setattr(netsim, "_stream", lambda *a: streams.append(stream(*a)) or streams[-1])
-        route = netsim.route
+        route_lockstep = netsim.route_lockstep
 
-        def recording_route(protocol, src, dst, *args, **kwargs):
-            assert len(steps) == config.flows
-            routed.append((src, dst, kwargs["now"]))
-            states.append(streams[-1].bit_generator.state)
-            return route(protocol, src, dst, *args, **kwargs)
+        def recording_route(requests):
+            for _, src, dst, _, now, *_ in requests:
+                assert len(steps) == config.flows
+                routed.append((src, dst, now))
+                states.append(streams[-1].bit_generator.state)
+            return route_lockstep(requests)
 
-        monkeypatch.setattr(netsim, "route", recording_route)
+        monkeypatch.setattr(netsim, "route_lockstep", recording_route)
         run_campaign(config)
         rng, want = stream(config.seed, 2), []
         for step in steps:
@@ -728,6 +737,44 @@ class TestRunCampaign:
         assert routed == want
         assert states == [rng.bit_generator.state] * config.flows
         assert all(type(v) is int for src, dst, _ in routed for v in (src, dst))
+
+    @pytest.mark.parametrize("rows", [1, 800, 5000, 2**15])
+    def test_windows_are_the_longest_runs_under_the_row_cap(self, monkeypatch, rows):
+        monkeypatch.setattr(netsim, "_WINDOW_ROWS", rows)
+        rng = random.Random(rows)
+        schedule = []
+        for step in sorted(rng.randrange(0, 200) for _ in range(300)):
+            t = step * 0.4
+            schedule.append((0, 1, t, netsim._beacon_tick(t, 1.7)))
+        windows = list(netsim._windows(schedule, 400))
+        assert [flow for window in windows for flow in window] == schedule
+
+        def held(flows):
+            return 400 * len({t for flow in flows for t in flow[2:]})
+
+        for window, after in zip(windows, windows[1:] + [[]]):
+            assert len(window) == 1 or held(window) <= rows
+            assert not after or held(window + after[:1]) > rows
+        assert (len(windows) == len(schedule)) == (rows < 800)
+
+    def test_memory_is_bounded_by_the_window(self, monkeypatch):
+        # Ten times the flows over ten times the duration moves ten times as many
+        # snapshots, but a campaign holds only one window of them at a time.
+        def peak(flows, duration):
+            config = small_config(field_width=2000.0, field_height=2000.0, node_count=800,
+                                  tx_range=250.0, flows=flows, duration=duration)
+            tracemalloc.start()
+            try:
+                run_campaign(config, PROTOCOLS)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = 24 * netsim._WINDOW_ROWS + 1_500_000  # the slack holds 600 flows' records
+        assert peak(60, 30.0) <= bound
+        assert peak(600, 300.0) <= bound
+        monkeypatch.setattr(netsim, "_WINDOW_ROWS", 2**40)  # one window holds every snapshot
+        assert peak(200, 100.0) > 24 * 800 * 200 > bound
 
     def test_unknown_protocol_rejected_before_placement(self, monkeypatch):
         monkeypatch.setattr(netsim, "generate_nodes", lambda *a: pytest.fail("nodes drawn"))

@@ -13,6 +13,7 @@ from geo_route_sim.netsim import SimConfig, generate_nodes, step_mobility
 from geo_route_sim.routing import (
     DEFAULT_TTL,
     HALF_PI,
+    PROTOCOLS,
     NetworkSnapshot,
     Outcome,
     dir_next_hop,
@@ -422,7 +423,7 @@ class TestGreedyNextHop:
                     speed = rng.choice([0.0, 1.0, 4.0]) * scale
                     ez = expected_zone(dest, speed, 0.0, 1.0)
                     zone = request_zone(here, ez)
-                got = routing._greedy_next_hop(snap, known, row, dest, exclude, ez)
+                got = routing._next_hops([routing._hop(snap, known, row, dest, exclude, ez)])[0]
                 want = oracles.greedy_by_scalar_min(
                     snap, known, row, here, headings[row], dest, exclude, zone
                 )
@@ -463,7 +464,7 @@ class TestGreedyNextHop:
                     if zoned:
                         ez = expected_zone(dest, rng.choice([0.0, 10.0, 100.0]) * scale, 0.0, 1.0)
                         zone = request_zone(here, ez)
-                    got = routing._greedy_next_hop(snap, snap, 0, dest, [0], ez)
+                    got = routing._next_hops([routing._hop(snap, snap, 0, dest, [0], ez)])[0]
                     want = oracles.greedy_by_scalar_min(
                         snap, snap, 0, here, headings[0], dest, [0], zone
                     )
@@ -764,6 +765,110 @@ class TestRoute:
                     route("dir", 0, dst, far, now=now)
         with pytest.raises(ValueError):
             route("dlar", 0, 2, far, now=1.0, known_time=math.nan)
+
+
+class TestLockstep:
+    """Greedy packets routed together in lockstep rounds equal each packet
+    routed alone, and the packet driven one hop at a time by the oracles."""
+
+    @staticmethod
+    def field(rng, kind):
+        """(snapshot, known view, request times) of one seeded field."""
+        n = rng.randint(2, 70)
+        if kind == "lattice":  # collinear candidates tie exactly or within an ulp in angle
+            scale = rng.choice([0.1, 7.3, 1.0])
+            points = [(rng.randint(0, 12) * scale, rng.randint(0, 12) * scale) for _ in range(n)]
+            tx = rng.choice([4.0, 9.0, 20.0]) * scale
+        elif kind == "huge":  # the angle products overflow
+            points = [(rng.uniform(0, 1e300), rng.uniform(0, 1e300)) for _ in range(n)]
+            tx = rng.choice([2.5e299, 4e299])
+        else:
+            size = 1000.0 if kind == "uniform" else 3000.0  # a sparse field has voids
+            points = [(rng.uniform(0, size), rng.uniform(0, size)) for _ in range(n)]
+            tx = rng.uniform(100.0, 300.0)
+        spread = rng.choice([math.pi, math.pi, 1e6])  # headings beyond pi keep the wrap
+        headings = {i: rng.uniform(-spread, spread) for i in range(n)}
+        speeds = {i: rng.uniform(0.0, 25.0) for i in range(n)}
+        snap = make_snapshot(points, tx, headings=headings, speeds=speeds)
+        now = rng.uniform(0.0, 10.0)
+        if rng.random() < 0.3:
+            return snap, None, now, None
+        lagged = [p if rng.random() < 0.75 else rng.choice(points) for p in points]
+        return make_snapshot(points, tx, headings=headings, speeds=speeds), make_snapshot(
+            lagged, tx, headings=headings, speeds=speeds), now, now - rng.choice([0.0, 0.5, 2.0])
+
+    @classmethod
+    def requests(cls, seed, count):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            kind = rng.choice(["uniform", "uniform", "sparse", "lattice", "huge"])
+            snap, known, now, known_time = cls.field(rng, kind)
+            for _ in range(rng.randint(1, 6)):
+                src, dst = rng.choice(range(len(snap))), rng.choice(range(len(snap)))
+                ttl = rng.choice([1, 2, 3, 4, 5, 6, 64])
+                protocol = rng.choice(["dir", "dlar"])
+                out.append((kind, (protocol, src, dst, snap, now, ttl, known, known_time)))
+        return out
+
+    def test_together_equals_alone_and_the_hop_oracles(self, monkeypatch):
+        ties = []
+        monkeypatch.setattr(routing, "deviation_angle",
+                            lambda *a: ties.append(a) or deviation_angle(*a))
+        labelled = self.requests(30, 600)
+        requests = [r for _, r in labelled]
+        together = routing.route_lockstep(requests)
+        assert ties  # near-tied candidates reached the exact key
+        assert [routing.route_lockstep([r])[0] for r in requests] == together
+        assert [route(*r[:5], ttl=r[5], known=r[6], known_time=r[7]) for r in requests] == together
+        rng = random.Random(31)  # any split into batches routes the same
+        cuts = sorted(rng.sample(range(1, len(requests)), 40))
+        parts = [requests[a:b] for a, b in zip([0, *cuts], [*cuts, len(requests)])]
+        assert [r for part in parts for r in routing.route_lockstep(part)] == together
+        stale = 0
+        for (kind, request), got in zip(labelled, together):
+            protocol, src, dst, snap, now, ttl, known, known_time = request
+            assert got == oracles.route_by_hops(*request)
+            if kind in ("uniform", "sparse") and known is None:
+                assert got == oracles.route_by_hops(*request, acos=True)
+            dest = position(snap if known is None else known, dst)
+            stale += (got.outcome is Outcome.VOID_DROP and position(snap, got.path[-1]) == dest
+                      and src != dst)
+        outcomes = [r.outcome for r in together]
+        assert stale > 3
+        for outcome in (Outcome.DELIVERED, Outcome.VOID_DROP, Outcome.TTL_DROP):
+            assert outcomes.count(outcome) > 20, outcome
+        assert sum(len(r.path) > 2 for (kind, _), r in zip(labelled, together) if kind == "huge") > 5
+
+    def test_one_batched_choice_per_round(self, monkeypatch):
+        # A round's live packets share one _next_hops pass, D-LAR and DIR alike.
+        batches = []
+        next_hops = routing._next_hops
+        monkeypatch.setattr(routing, "_next_hops", lambda hops: batches.append(len(hops)) or next_hops(hops))
+        requests = [r for _, r in self.requests(32, 40)]
+        results = routing.route_lockstep(requests)
+        chosen = [r.hop_count - (r.outcome is Outcome.DELIVERED and r.hop_count > 0) for r in results]
+        assert max(batches) > 20
+        assert len(batches) <= max(chosen) + 1
+        assert sum(batches) >= sum(chosen)
+
+    def test_lar_requests_route_alone(self):
+        rng = random.Random(33)
+        requests = []
+        for _ in range(30):
+            snap = oracles.random_snapshot(rng)
+            src, dst = rng.sample(range(len(snap)), 2)
+            requests.append((rng.choice(PROTOCOLS), src, dst, snap, 1.0, rng.randint(1, 6), None, None))
+        assert routing.route_lockstep(requests) == [
+            route(*r[:5], ttl=r[5]) for r in requests]
+
+    def test_a_bad_request_raises(self):
+        snap = make_snapshot([(0, 0), (50, 0)], 100)
+        good = ("dir", 0, 1, snap, 0.0, 5, None, None)
+        for bad, match in (((("aodv",) + good[1:]), "aodv"), (good[:5] + (0,) + good[6:], "ttl"),
+                           (good[:6] + (None, 1.0), "known_time")):
+            with pytest.raises(ValueError, match=match):
+                routing.route_lockstep([good, bad])
 
 
 class TestRouteProperties:

@@ -293,9 +293,9 @@ def _firing_step(flow_time: float, time_step: float) -> int:
 
 def _windows(schedule: list[tuple], rows: int):
     """The runs of consecutive flows of ``schedule`` that a campaign routes
-    together, in order: each run is as long as its distinct firing times and
-    beacon ticks, at ``rows`` vehicles a snapshot, hold at most
-    ``_WINDOW_ROWS`` rows, and holds at least one flow."""
+    together, in order: each run is the longest whose distinct firing times
+    and beacon ticks (a flow's last two entries), at ``rows`` vehicles a
+    snapshot, hold at most ``_WINDOW_ROWS`` rows, and holds at least one flow."""
     window, times = [], set()
     for flow in schedule:
         more = times | set(flow[2:])
@@ -333,12 +333,19 @@ def run_campaign(
     routed: each of the ``flows`` attempts fires on the first ``time_step``
     grid time at or past its even slot over the duration, and stream 2 draws
     every flow's endpoints, in flow order: a uniform source, then a uniform
-    destination among the other vehicles.  Each flow is routed under every protocol using the
-    beacon view current at its firing time.  The start is
+    destination among the other vehicles.  Each flow is routed under every
+    protocol using the beacon view current at its firing time.  The start is
     :func:`generate_nodes`' field; both the ground truth at a firing time and
     the view at its beacon tick are the start moved there by
-    :func:`step_mobility`, once per distinct time after 0.  With fewer than
-    two vehicles no flow is sent.  An unknown protocol is rejected before any
+    :func:`step_mobility`, once per distinct time after 0, in ascending time.
+
+    Flows are routed in windows (:func:`_windows`), whose snapshots are held
+    together: a window's DIR and D-LAR packets, of every protocol, hop in
+    lockstep through one :func:`route_lockstep` call, each on its own
+    snapshot and view, while LAR floods each flow alone through
+    :func:`route`.  Each result is the one routing its flow alone gives, so
+    the window size moves no byte of the output.  With fewer than two
+    vehicles no flow is sent.  An unknown protocol is rejected before any
     node is drawn.
     """
     protocols = (config.protocol,) if protocols is None else tuple(protocols)
@@ -350,11 +357,11 @@ def run_campaign(
     n, flows = len(start), config.flows if len(start) >= 2 else 0
     steps = [_firing_step(i * config.duration / flows, config.time_step) for i in range(flows)]
     pairs = [(int(flow_rng.integers(n)), int(flow_rng.integers(n - 1))) for _ in range(flows)]
-    schedule = []  # (source, destination, firing time, beacon tick) per flow
+    schedule = []  # per flow: source, destination, firing time, beacon tick
     for step, (si, di) in zip(steps, pairs):
         sim_time = step * config.time_step
-        # A uniform destination other than the source.
-        schedule.append((si, di + (di >= si), sim_time, _beacon_tick(sim_time, config.beacon_interval)))
+        di += di >= si  # a uniform destination other than the source
+        schedule.append((si, di, sim_time, _beacon_tick(sim_time, config.beacon_interval)))
     built = {0.0: start}  # the snapshots of the current window, by time
     results: list[list[RouteResult]] = [[] for _ in protocols]
     for window in _windows(schedule, n):
@@ -367,12 +374,10 @@ def run_campaign(
             for protocol in protocols if protocol != "lar" for si, di, now, tick in window
         ]))
         for protocol, routed in zip(protocols, results):
-            routed.extend(
-                next(greedy) if protocol != "lar" else route(
-                    protocol, si, di, built[now], now=now, ttl=config.ttl, known=built[tick],
-                    known_time=tick)
-                for si, di, now, tick in window
-            )
+            for si, di, now, tick in window:
+                routed.append(next(greedy) if protocol != "lar" else route(
+                    "lar", si, di, built[now], now=now, ttl=config.ttl, known=built[tick],
+                    known_time=tick))
     return [_metrics(routed, config.per_hop_latency_ms) for routed in results]
 
 

@@ -219,7 +219,7 @@ def _next_hops(hops: list) -> list[Optional[int]]:
     """
     order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
     choices: list[Optional[int]] = [None] * len(hops)
-    taken, starts, sizes, rows, xs, ys, here, zoned, headings, wraps = ([] for _ in range(10))
+    taken, starts, sizes, rows, xs, ys, rays, zoned, headings, wraps = ([] for _ in range(10))
     total = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in order:
@@ -237,7 +237,7 @@ def _next_hops(hops: list) -> list[Optional[int]]:
             rows.append(near)
             xs.append(known.x[near])
             ys.append(known.y[near])
-            here.append((hx, hy, dest.x - hx, dest.y - hy))
+            rays.append((hx, hy, dest.x - hx, dest.y - hy))
             if ez is not None:
                 zoned.append((*_zone_bounds(hx, hy, ez), snapshot.heading.item(row)))
                 headings.append(snapshot.heading[near])
@@ -246,14 +246,14 @@ def _next_hops(hops: list) -> list[Optional[int]]:
         if not taken:
             return choices
         xy = np.concatenate(xs + ys).reshape(2, -1)  # the candidates' known x and y
-        at = np.array(starts)
-        fwd = np.array(here).T.repeat(sizes, axis=1)  # per candidate: hx, hy, vx, vy
+        at, size = np.array(starts), np.array(sizes)
+        fwd = np.array(rays).T.repeat(size, axis=1)  # per candidate: hx, hy, vx, vy
         ne = xy != fwd[:2]
         keep = ne[0] | ne[1]
         if zoned:
             z = len(zoned)
             m = starts[z - 1] + sizes[z - 1]  # the D-LAR entries' candidates
-            x0, y0, x1, y1, heading = np.array(zoned).T.repeat(sizes[:z], axis=1)
+            x0, y0, x1, y1, heading = np.array(zoned).T.repeat(size[:z], axis=1)
             zone = keep[:m]
             x, y = xy[:, :m]
             zone &= (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
@@ -263,14 +263,14 @@ def _next_hops(hops: list) -> list[Optional[int]]:
                 part = slice(starts[j], starts[j] + sizes[j])
                 aligned[part] = np.abs(wrap_angle(turn[part])) <= HALF_PI
             aligned &= zone
-            zone &= aligned | ~np.logical_or.reduceat(aligned, at[:z]).repeat(sizes[:z])
+            zone &= aligned | ~np.logical_or.reduceat(aligned, at[:z]).repeat(size[:z])
         u = np.subtract(xy, fwd[:2], out=xy)
         dot = u * fwd[2:]  # ux vx, uy vy
         cross = np.multiply(u, fwd[:1:-1], out=u)  # ux vy, uy vx
         angle = np.arctan2(np.abs(cross[0] - cross[1]), dot[0] + dot[1])
         angle[~keep] = math.inf
         cut = np.minimum.reduceat(angle, at) * (1 + 2**-40) + 2**-1000
-        near = (keep & ~(angle > cut.repeat(sizes))).nonzero()[0]
+        near = (keep & ~(angle > cut.repeat(size))).nonzero()[0]
     bounds = [*near.searchsorted(at).tolist(), len(near)]
     picked = np.concatenate(rows)[near].tolist()
     for j, i in enumerate(taken):
@@ -279,9 +279,9 @@ def _next_hops(hops: list) -> list[Optional[int]]:
             choices[i] = picked[a]
         elif b > a:
             snapshot, known, row, dest, _, _ = hops[i]
-            h = Position(snapshot.x.item(row), snapshot.y.item(row))
+            here = Position(snapshot.x.item(row), snapshot.y.item(row))
             pool = [(Position(known.x.item(r), known.y.item(r)), r) for r in picked[a:b]]
-            best = min(pool, key=lambda c: (deviation_angle(h, c[0], dest), distance(c[0], dest), c[1]))
+            best = min(pool, key=lambda c: (deviation_angle(here, c[0], dest), distance(c[0], dest), c[1]))
             choices[i] = best[1]
     return choices
 

@@ -195,27 +195,26 @@ def _hop(snapshot, known, v_id, dest, exclude, ez=None) -> tuple:
 
 
 def _next_hops(hops: list) -> list[Optional[int]]:
-    """The compass choice shared by DIR and D-LAR, for every entry of ``hops`` in
-    one batched pass: the row of each forwarder's next hop, or None.
+    """The compass choice shared by DIR and D-LAR, for each entry of ``hops``:
+    the row of the forwarder's next hop, or None.
 
-    An entry is ``(snapshot, known, row, dest, skip, ez)``: forwarder ``row``
-    of ``snapshot`` sends toward position ``dest``.  Its candidates are its
-    neighbors outside the rows ``skip`` (the forwarder among them), except
-    where their ``known`` position is the forwarder's true one, which gives no
-    direction.  With an expected zone ``ez`` (D-LAR), candidates must lie
-    inside the request zone anchored at the forwarder, and those heading
-    within pi/2 of it are preferred when there are any (by compares where all
-    of the snapshot's headings lie in [-pi, pi]).  The winner minimises
-    (deviation angle toward ``dest``, distance to ``dest``, row).
+    An entry is ``(snapshot, known, row, dest, skip, ez)``.  Forwarder ``row``'s
+    candidates are its neighbors outside the rows ``skip`` (itself among them),
+    except where their ``known`` position is its true one, which gives no
+    direction.  With an expected zone ``ez`` (D-LAR), they must lie inside the
+    request zone anchored at the forwarder, and those heading within pi/2 of it
+    are preferred when there are any (by compares where all of the snapshot's
+    headings lie in [-pi, pi]).  The winner minimises (deviation angle toward
+    ``dest``, distance to ``dest``, row).
 
     Each entry scans its own snapshot (:func:`_near`); the masks, the angles
     and each entry's least angle are then found over the candidates of all
-    entries at once, D-LAR's first.  The angles are computed as arrays from
-    the products :func:`deviation_angle` forms; numpy's ``arctan2`` may
-    differ from ``math.atan2`` by an ulp, so an entry's candidates within a
-    relative 2**-40 (plus 2**-1000) of its least angle are settled by the
-    exact scalar key.  A product that overflows makes the cut NaN, which
-    keeps every candidate.  The choices are the ones each entry alone gets.
+    entries at once, D-LAR's first.  The angles are arrays of the products
+    :func:`deviation_angle` forms; numpy's ``arctan2`` may differ from
+    ``math.atan2`` by an ulp, so an entry's candidates within a relative
+    2**-40 (plus 2**-1000) of its least angle are settled by the exact scalar
+    key.  A product that overflows makes the cut NaN, which keeps every
+    candidate.  Each choice is the one its entry gets alone.
     """
     order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
     choices: list[Optional[int]] = [None] * len(hops)
@@ -418,16 +417,13 @@ def route(
 
 
 def route_lockstep(requests: Sequence[tuple]) -> list[RouteResult]:
-    """:func:`route` of every request, each a tuple of its arguments in order
-    (``protocol, source_id, dest_id, snapshot, now, ttl, known, known_time``).
+    """:func:`route` of each request, a tuple of its arguments in order, in request order.
 
-    Each request has its own snapshot and beacon view.  LAR requests are
-    flooded one by one, as they come; the greedy packets then hop in lockstep
-    rounds.  In a round, each live packet
-    takes its checks (the ttl, the direct final hop, a stop on the
-    destination's stale spot), then the next hops of all the packets still
-    moving are chosen in one :func:`_next_hops` pass.  The results are those
-    of routing each request alone, in request order.
+    LAR requests are flooded one by one.  The DIR and D-LAR packets hop in
+    lockstep rounds, each on its own snapshot and view: every live packet
+    takes its checks (the ttl, the direct final hop, the destination's stale
+    spot), then one :func:`_next_hops` pass chooses the hops of all the
+    packets still moving.  Each result is the one its request gets alone.
     """
     results: list[Optional[RouteResult]] = [None] * len(requests)
     live = []
@@ -458,10 +454,10 @@ def route_lockstep(requests: Sequence[tuple]) -> list[RouteResult]:
             if len(path) > ttl:  # the direct final hop needs budget too
                 results[i] = RouteResult(Outcome.TTL_DROP, tuple(path))
                 continue
-            hx, hy = snapshot.x.item(row), snapshot.y.item(row)
-            reach = snapshot.transmission_range
-            if math.hypot(snapshot.x.item(dst) - hx, snapshot.y.item(dst) - hy) <= reach:
-                results[i] = RouteResult(Outcome.DELIVERED, (*path, dst))  # geometry.distance
+            x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
+            hx, hy = x.item(row), y.item(row)
+            if math.hypot(x.item(dst) - hx, y.item(dst) - hy) <= reach:  # geometry.distance
+                results[i] = RouteResult(Outcome.DELIVERED, (*path, dst))
             elif dest.x == hx and dest.y == hy:
                 # Stale knowledge led onto the destination's old spot: no direction left.
                 results[i] = RouteResult(Outcome.VOID_DROP, tuple(path))

@@ -216,8 +216,10 @@ def _next_hops(hops: list) -> list[Optional[int]]:
     key.  A product that overflows makes the cut NaN, which keeps every
     candidate.  Each choice is the one its entry gets alone.
     """
-    order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
     choices: list[Optional[int]] = [None] * len(hops)
+    if not hops:
+        return choices
+    order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
     taken, starts, sizes, rows, xs, ys, rays, zoned, headings, wraps = ([] for _ in range(10))
     total = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,8 +268,7 @@ def _next_hops(hops: list) -> list[Optional[int]]:
         u = np.subtract(xy, fwd[:2], out=xy)
         dot = u * fwd[2:]  # ux vx, uy vy
         cross = np.multiply(u, fwd[:1:-1], out=u)  # ux vy, uy vx
-        angle = np.arctan2(np.abs(cross[0] - cross[1]), dot[0] + dot[1])
-        angle[~keep] = math.inf
+        angle = np.where(keep, np.arctan2(np.abs(cross[0] - cross[1]), dot[0] + dot[1]), math.inf)
         cut = np.minimum.reduceat(angle, at) * (1 + 2**-40) + 2**-1000
         near = (keep & ~(angle > cut.repeat(size))).nonzero()[0]
     bounds = [*near.searchsorted(at).tolist(), len(near)]

@@ -298,12 +298,11 @@ def _windows(schedule: list[tuple], rows: int):
     snapshot, hold at most ``_WINDOW_ROWS`` rows, and holds at least one flow."""
     window, times = [], set()
     for flow in schedule:
-        more = times | set(flow[2:])
-        if window and len(more) * rows > _WINDOW_ROWS:
+        if window and len(times | set(flow[2:])) * rows > _WINDOW_ROWS:
             yield window
-            window, more = [], set(flow[2:])
+            window, times = [], set()
         window.append(flow)
-        times = more
+        times.update(flow[2:])
     if window:
         yield window
 
@@ -359,8 +358,8 @@ def run_campaign(
     pairs = [(int(flow_rng.integers(n)), int(flow_rng.integers(n - 1))) for _ in range(flows)]
     schedule = []  # per flow: source, destination, firing time, beacon tick
     for step, (si, di) in zip(steps, pairs):
-        sim_time = step * config.time_step
         di += di >= si  # a uniform destination other than the source
+        sim_time = step * config.time_step
         schedule.append((si, di, sim_time, _beacon_tick(sim_time, config.beacon_interval)))
     built = {0.0: start}  # the snapshots of the current window, by time
     results: list[list[RouteResult]] = [[] for _ in protocols]

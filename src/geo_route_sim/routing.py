@@ -200,28 +200,26 @@ def _next_hops(hops: list) -> list[Optional[int]]:
 
     An entry is ``(snapshot, known, row, dest, skip, ez)``.  Forwarder ``row``'s
     candidates are its neighbors outside the rows ``skip`` (itself among them),
-    except where their ``known`` position is its true one, which gives no
-    direction.  With an expected zone ``ez`` (D-LAR), they must lie inside the
-    request zone anchored at the forwarder, and those heading within pi/2 of it
-    are preferred when there are any (by compares where all of the snapshot's
-    headings lie in [-pi, pi]).  The winner minimises (deviation angle toward
-    ``dest``, distance to ``dest``, row).
+    except where their ``known`` position is its true one.  With an expected
+    zone ``ez`` (D-LAR) they must lie inside the request zone anchored at the
+    forwarder, and those heading within pi/2 of it are preferred when there are
+    any (by compares where every D-LAR snapshot's headings lie in [-pi, pi]).  The
+    winner minimises (deviation angle toward ``dest``, distance to ``dest``, row).
 
-    Each entry scans its own snapshot (:func:`_near`); the masks, the angles
-    and each entry's least angle are then found over the candidates of all
-    entries at once, D-LAR's first.  The angles are arrays of the products
-    :func:`deviation_angle` forms; numpy's ``arctan2`` may differ from
-    ``math.atan2`` by an ulp, so an entry's candidates within a relative
-    2**-40 (plus 2**-1000) of its least angle are settled by the exact scalar
-    key.  A product that overflows makes the cut NaN, which keeps every
-    candidate.  Each choice is the one its entry gets alone.
+    Each entry scans its own snapshot (:func:`_near`); the masks, the angles and
+    each entry's least angle are then found for all entries at once, D-LAR's
+    first.  The angles are arrays of the products :func:`deviation_angle` forms,
+    and numpy's ``arctan2`` may differ from ``math.atan2`` by an ulp, so the
+    candidates within a relative 2**-40 (plus 2**-1000) of their entry's least
+    angle are settled by the exact scalar key; an overflow makes the cut NaN,
+    which keeps every candidate.  Each choice is the one its entry gets alone.
     """
     choices: list[Optional[int]] = [None] * len(hops)
     if not hops:
         return choices
     order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
-    taken, starts, sizes, rows, xs, ys, rays, zoned, headings, wraps = ([] for _ in range(10))
-    total = 0
+    taken, starts, sizes, rows, xs, ys, rays, zoned, headings = ([] for _ in range(9))
+    total, compares = 0, True
     with np.errstate(over="ignore", invalid="ignore"):
         for i in order:
             snapshot, known, row, dest, skip, ez = hops[i]
@@ -242,8 +240,7 @@ def _next_hops(hops: list) -> list[Optional[int]]:
             if ez is not None:
                 zoned.append((*_zone_bounds(hx, hy, ez), snapshot.heading.item(row)))
                 headings.append(snapshot.heading[near])
-                if not snapshot._headings_in_pi:
-                    wraps.append(len(zoned) - 1)
+                compares = compares and snapshot._headings_in_pi
         if not taken:
             return choices
         xy = np.concatenate(xs + ys).reshape(2, -1)  # the candidates' known x and y
@@ -254,16 +251,13 @@ def _next_hops(hops: list) -> list[Optional[int]]:
         if zoned:
             z = len(zoned)
             m = starts[z - 1] + sizes[z - 1]  # the D-LAR entries' candidates
-            x0, y0, x1, y1, heading = np.array(zoned).T.repeat(size[:z], axis=1)
+            bounds = np.array(zoned).T.repeat(size[:z], axis=1)  # x0, y0, x1, y1, heading
+            inside = (bounds[:2] <= xy[:, :m]) & (xy[:, :m] <= bounds[2:4])
             zone = keep[:m]
-            x, y = xy[:, :m]
-            zone &= (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
-            turn = np.concatenate(headings) - heading
-            aligned = ((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR)
-            for j in wraps:
-                part = slice(starts[j], starts[j] + sizes[j])
-                aligned[part] = np.abs(wrap_angle(turn[part])) <= HALF_PI
-            aligned &= zone
+            zone &= inside[0] & inside[1]
+            turn = np.concatenate(headings) - bounds[4]
+            aligned = zone & ((((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR))
+                              if compares else (np.abs(wrap_angle(turn)) <= HALF_PI))
             zone &= aligned | ~np.logical_or.reduceat(aligned, at[:z]).repeat(size[:z])
         u = np.subtract(xy, fwd[:2], out=xy)
         dot = u * fwd[2:]  # ux vx, uy vy
@@ -271,10 +265,10 @@ def _next_hops(hops: list) -> list[Optional[int]]:
         angle = np.where(keep, np.arctan2(np.abs(cross[0] - cross[1]), dot[0] + dot[1]), math.inf)
         cut = np.minimum.reduceat(angle, at) * (1 + 2**-40) + 2**-1000
         near = (keep & ~(angle > cut.repeat(size))).nonzero()[0]
-    bounds = [*near.searchsorted(at).tolist(), len(near)]
+    ends = [*near.searchsorted(at).tolist(), len(near)]
     picked = np.concatenate(rows)[near].tolist()
     for j, i in enumerate(taken):
-        a, b = bounds[j], bounds[j + 1]
+        a, b = ends[j], ends[j + 1]
         if b - a == 1:
             choices[i] = picked[a]
         elif b > a:

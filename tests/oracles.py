@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles (acos-based
 angles, inline rectangle arithmetic, plain BFS) rather than by calling the
 code under test; :func:`greedy_by_scalar_min` is the one exception, kept as
-the scalar reference of the greedy chooser's exact ranking.  Snapshots are
-read through their public columns only.
+the scalar reference of the greedy chooser's exact ranking, with
+:func:`route_by_hops`, which drives it (or the acos oracles) one hop at a
+time.  Snapshots are read through their public columns only.
 """
 
 import hashlib

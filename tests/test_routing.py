@@ -819,7 +819,6 @@ class TestLockstep:
         requests = [r for _, r in labelled]
         together = routing.route_lockstep(requests)
         assert ties  # near-tied candidates reached the exact key
-        assert [routing.route_lockstep([r])[0] for r in requests] == together
         assert [route(*r[:5], ttl=r[5], known=r[6], known_time=r[7]) for r in requests] == together
         rng = random.Random(31)  # any split into batches routes the same
         cuts = sorted(rng.sample(range(1, len(requests)), 40))
@@ -827,7 +826,7 @@ class TestLockstep:
         assert [r for part in parts for r in routing.route_lockstep(part)] == together
         stale = 0
         for (kind, request), got in zip(labelled, together):
-            protocol, src, dst, snap, now, ttl, known, known_time = request
+            _, src, dst, snap, _, _, known, _ = request
             assert got == oracles.route_by_hops(*request)
             if kind in ("uniform", "sparse") and known is None:
                 assert got == oracles.route_by_hops(*request, acos=True)

@@ -23,7 +23,6 @@ from .routing import (
     NetworkSnapshot,
     Outcome,
     PROTOCOLS,
-    RouteResult,
     route,
     route_lockstep,
 )
@@ -136,8 +135,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CampaignMetrics:
-    """Aggregated results of one campaign; rate fields are None when sent = 0
-    or nothing was delivered."""
+    """Aggregated results of one campaign.  ``pdr`` is None when sent = 0; the
+    mean hops and delay, over the delivered flows, are None when none was."""
 
     sent: int
     delivered: int
@@ -307,17 +306,17 @@ def _windows(schedule: list[tuple], rows: int):
         yield window
 
 
-def _metrics(results: list[RouteResult], per_hop_latency_ms: float) -> CampaignMetrics:
-    """Aggregate the route results of one protocol."""
-    hops = [r.hop_count for r in results if r.outcome is Outcome.DELIVERED]
-    mean_hops = sum(hops) / len(hops) if hops else None
+def _metrics(tally: dict, per_hop_latency_ms: float) -> CampaignMetrics:
+    """One protocol's metrics from its tally of outcomes and delivered hops (``"hops"``)."""
+    sent, delivered = sum(tally[o] for o in Outcome), tally[Outcome.DELIVERED]
+    mean_hops = tally["hops"] / delivered if delivered else None
     return CampaignMetrics(
-        sent=len(results),
-        delivered=len(hops),
-        pdr=len(hops) / len(results) if results else None,
+        sent=sent,
+        delivered=delivered,
+        pdr=delivered / sent if sent else None,
         mean_hop_count=mean_hops,
         mean_delay_ms=mean_hops * per_hop_latency_ms if mean_hops is not None else None,
-        drop_breakdown={o.value: sum(r.outcome is o for r in results) for o in DROP_OUTCOMES},
+        drop_breakdown={o.value: tally[o] for o in DROP_OUTCOMES},
     )
 
 
@@ -343,41 +342,41 @@ def run_campaign(
     lockstep through one :func:`route_lockstep` call, each on its own
     snapshot and view, while LAR floods each flow alone through
     :func:`route`.  Each result is the one routing its flow alone gives, so
-    the window size moves no byte of the output.  With fewer than two
-    vehicles no flow is sent.  An unknown protocol is rejected before any
-    node is drawn.
+    the window size moves no byte of the output.  Results are folded into
+    per-protocol tallies as they are routed, so a campaign holds one window
+    and about 0.2 KB of schedule per flow.  With fewer than two vehicles no
+    flow is sent.  An unknown protocol is rejected before any node is drawn.
     """
     protocols = (config.protocol,) if protocols is None else tuple(protocols)
     for protocol in protocols:
         if protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     start, flow_rng = generate_nodes(config), _stream(config.seed, 2)
-    width, height = config.field_width, config.field_height
     n, flows = len(start), config.flows if len(start) >= 2 else 0
-    steps = [_firing_step(i * config.duration / flows, config.time_step) for i in range(flows)]
-    pairs = [(int(flow_rng.integers(n)), int(flow_rng.integers(n - 1))) for _ in range(flows)]
     schedule = []  # per flow: source, destination, firing time, beacon tick
-    for step, (si, di) in zip(steps, pairs):
-        di += di >= si  # a uniform destination other than the source
-        sim_time = step * config.time_step
-        schedule.append((si, di, sim_time, _beacon_tick(sim_time, config.beacon_interval)))
+    for i in range(flows):
+        si, di = int(flow_rng.integers(n)), int(flow_rng.integers(n - 1))
+        now = _firing_step(i * config.duration / flows, config.time_step) * config.time_step
+        schedule.append((si, di + (di >= si), now, _beacon_tick(now, config.beacon_interval)))
     built = {0.0: start}  # the snapshots of the current window, by time
-    results: list[list[RouteResult]] = [[] for _ in protocols]
+    tallies = [dict.fromkeys([*Outcome, "hops"], 0) for _ in protocols]
     for window in _windows(schedule, n):
         times = {t for _, _, now, tick in window for t in (now, tick)}
         built = {t: snap for t, snap in built.items() if t in times}
         for t in sorted(times - built.keys()):
-            built[t] = step_mobility(start, t, width, height)
+            built[t] = step_mobility(start, t, config.field_width, config.field_height)
         greedy = iter(route_lockstep([
             (protocol, si, di, built[now], now, config.ttl, built[tick], tick)
             for protocol in protocols if protocol != "lar" for si, di, now, tick in window
         ]))
-        for protocol, routed in zip(protocols, results):
+        for protocol, tally in zip(protocols, tallies):
             for si, di, now, tick in window:
-                routed.append(next(greedy) if protocol != "lar" else route(
+                result = next(greedy) if protocol != "lar" else route(
                     "lar", si, di, built[now], now=now, ttl=config.ttl, known=built[tick],
-                    known_time=tick))
-    return [_metrics(routed, config.per_hop_latency_ms) for routed in results]
+                    known_time=tick)
+                tally[result.outcome] += 1
+                tally["hops"] += result.hop_count if result.outcome is Outcome.DELIVERED else 0
+    return [_metrics(tally, config.per_hop_latency_ms) for tally in tallies]
 
 
 def _fmt_real(value: Optional[float]) -> str:

@@ -359,3 +359,42 @@ def firing_steps_by_stepping(duration, flows, time_step):
         step_index += 1
         sim_time = step_index * time_step
     return steps
+
+
+class RawStream:
+    """Stream ``i`` of ``SeedSequence(seed).spawn(...)``, drawn in pure Python
+    from PCG64's raw 64-bit outputs the way NumPy's ``Generator`` draws it.
+
+    ``uniform`` takes the top 53 bits of one output.  ``integers`` takes
+    32-bit halves of an output, low half first, and keeps the spare high half
+    for its next call (``uniform`` neither takes nor drops it)."""
+
+    def __init__(self, seed, i):
+        self._bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+        self._spare = None
+
+    def _raw(self):
+        return int(self._bits.random_raw())
+
+    def uniform(self, low, high):
+        return low + (high - low) * ((self._raw() >> 11) * 2**-53)
+
+    def _half(self):
+        if self._spare is not None:
+            half, self._spare = self._spare, None
+            return half
+        r = self._raw()
+        self._spare = r >> 32
+        return r & 0xFFFF_FFFF
+
+    def integers(self, n):
+        """Uniform in [0, n), 1 <= n <= 2**32, by Lemire's multiply-and-reject
+        (D. Lemire, "Fast random integer generation in an interval", 2019)."""
+        if n == 1:
+            return 0  # nothing is drawn
+        m = self._half() * n
+        if m & 0xFFFF_FFFF < n:
+            threshold = 2**32 % n
+            while m & 0xFFFF_FFFF < threshold:
+                m = self._half() * n
+        return m >> 32

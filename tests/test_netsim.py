@@ -27,7 +27,7 @@ from geo_route_sim.netsim import (
     step_mobility,
 )
 from geo_route_sim.cli import _campaign_csv
-from geo_route_sim.routing import HALF_PI, PROTOCOLS, NetworkSnapshot
+from geo_route_sim.routing import HALF_PI, PROTOCOLS, NetworkSnapshot, Outcome
 from oracles import make_snapshot, position, snapshot_digest
 
 
@@ -708,6 +708,66 @@ class TestRunCampaign:
         expected = [run_campaign(replace(cell, protocol=p))[0] for p in PROTOCOLS]
         assert run_campaign(cell, PROTOCOLS) == expected
 
+    @pytest.mark.parametrize(
+        "overrides, protocols, check",
+        [
+            (dict(beacon_interval=1.7, time_step=0.4, duration=10.0, flows=30), PROTOCOLS,
+             lambda ms: all(m.delivered for m in ms)),
+            *[(dict(field_width=2000.0, field_height=2000.0, node_count=800, tx_range=250.0,
+                    flows=30, ttl=ttl), PROTOCOLS,
+               lambda ms: all(m.drop_breakdown["ttl_drop"] for m in ms)) for ttl in range(1, 6)],
+            (dict(node_count=1), PROTOCOLS, lambda ms: all(m.sent == 0 for m in ms)),
+            (dict(field_width=2000.0, field_height=2000.0, node_count=2, tx_range=10.0),
+             PROTOCOLS,
+             lambda ms: all(m.sent and m.pdr == 0.0 and m.mean_hop_count is m.mean_delay_ms is None
+                            for m in ms)),
+            (dict(beacon_interval=1.7, time_step=0.4, duration=10.0, flows=30),
+             ("dir", "dir", "lar"), lambda ms: ms[0] == ms[1] and ms[2].sent == 30),
+        ],
+        ids=["lagging-beacons", *(f"ttl{ttl}-800" for ttl in range(1, 6)), "one-vehicle",
+             "sparse-none-delivered", "repeated-protocol"],
+    )
+    def test_the_fold_is_the_reduction_of_every_result(self, monkeypatch, overrides, protocols,
+                                                       check):
+        # Every result routed is recorded, in order: a window's DIR and D-LAR
+        # results come from its one lockstep call, protocol by protocol, and its
+        # LAR results from one route call per flow.  Reducing each protocol
+        # entry's results as lists gives the campaign's tallied metrics.
+        sizes, greedy, lar = [], [], []
+        windows, route, route_lockstep = netsim._windows, netsim.route, netsim.route_lockstep
+
+        def lockstep(requests):
+            greedy.extend(routed := route_lockstep(requests))
+            return routed
+
+        monkeypatch.setattr(netsim, "_windows",
+                            lambda *a: (sizes.append(len(w)) or w for w in windows(*a)))
+        monkeypatch.setattr(netsim, "route", lambda *a, **k: lar.append(route(*a, **k)) or lar[-1])
+        monkeypatch.setattr(netsim, "route_lockstep", lockstep)
+        config = small_config(**overrides)
+        metrics = run_campaign(config, protocols)
+        greedy, lar, routed = iter(greedy), iter(lar), [[] for _ in protocols]
+        for size in sizes:
+            for protocol, results in zip(protocols, routed):
+                results.extend(next(lar if protocol == "lar" else greedy) for _ in range(size))
+        assert list(greedy) == list(lar) == []
+
+        def reduced(results):
+            hops = [r.hop_count for r in results if r.outcome is Outcome.DELIVERED]
+            mean_hops = sum(hops) / len(hops) if hops else None
+            return CampaignMetrics(
+                sent=len(results),
+                delivered=len(hops),
+                pdr=len(hops) / len(results) if results else None,
+                mean_hop_count=mean_hops,
+                mean_delay_ms=mean_hops * config.per_hop_latency_ms if hops else None,
+                drop_breakdown={o.value: sum(r.outcome is o for r in results)
+                                for o in Outcome if o is not Outcome.DELIVERED},
+            )
+
+        assert metrics == [reduced(results) for results in routed]
+        assert check(metrics)
+
     def test_schedule_is_drawn_before_the_first_route(self, monkeypatch):
         # Every firing step and every endpoint draw exists before any flow is
         # routed (stream 2 is in its final state at each route call), and the
@@ -770,9 +830,12 @@ class TestRunCampaign:
             finally:
                 tracemalloc.stop()
 
-        bound = 24 * netsim._WINDOW_ROWS + 1_500_000  # the slack holds 600 flows' records
-        assert peak(60, 30.0) <= bound
-        assert peak(600, 300.0) <= bound
+        # The slack holds the placement, the routing's temporaries and the schedule.
+        bound = 24 * netsim._WINDOW_ROWS + 1_500_000
+        few, many = peak(60, 30.0), peak(600, 300.0)
+        assert few <= bound
+        assert many <= bound
+        assert many - few <= 540 * 300  # a flow costs its schedule entry, not its results
         monkeypatch.setattr(netsim, "_WINDOW_ROWS", 2**40)  # one window holds every snapshot
         assert peak(200, 100.0) > 24 * 800 * 200 > bound
 
@@ -794,6 +857,52 @@ class TestRunCampaign:
             run_campaign(small_config(speed_min=9.0, speed_max=5.0))
         with pytest.raises(ValueError, match="protocol"):
             run_campaign(small_config(protocol="aodv"))
+
+
+class TestDrawReference:
+    """Placement and endpoints equal ``oracles.RawStream``'s pure-Python draws
+    from PCG64's raw outputs, so a change to NumPy's transforms shows here."""
+
+    def test_the_reference_is_the_generator(self):
+        rng = random.Random(5)
+        for seed in range(3):
+            ref, gen = oracles.RawStream(seed, 2), netsim._stream(seed, 2)
+            for _ in range(3000):
+                if rng.random() < 0.3:
+                    low, high = rng.uniform(-10.0, 10.0), rng.uniform(10.0, 1e4)
+                    assert ref.uniform(low, high) == gen.uniform(low, high)
+                else:
+                    n = rng.choice([1, 2, 3, 800, 10**6, 3 * 2**30, 2**32])
+                    assert ref.integers(n) == gen.integers(n)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generate_nodes_is_the_reference(self, seed):
+        config = small_config(seed=seed, node_count=300, speed_min=3.0, speed_max=30.0)
+        snapshot = generate_nodes(config)
+        placement, motion = oracles.RawStream(seed, 0), oracles.RawStream(seed, 1)
+
+        def draws(stream, low, high):
+            return [stream.uniform(low, high) for _ in range(300)]
+
+        assert snapshot.x.tolist() == draws(placement, 0.0, config.field_width)
+        assert snapshot.y.tolist() == draws(placement, 0.0, config.field_height)
+        headings = draws(motion, -math.pi, math.pi)
+        assert snapshot.speed.tolist() == draws(motion, config.speed_min, config.speed_max)
+        assert snapshot.heading.tolist() == [wrap_angle(h) for h in headings]
+
+    @pytest.mark.parametrize("n", [2, 3, 800, 8_000, 1_000_000])
+    def test_endpoint_pairs_are_the_reference(self, monkeypatch, n):
+        # Only the field's length is read before the windows, which are not routed.
+        schedules = []
+        monkeypatch.setattr(netsim, "generate_nodes", lambda config: range(n))
+        monkeypatch.setattr(netsim, "_windows", lambda flows, n: schedules.append(flows) or ())
+        for seed in range(40):
+            run_campaign(small_config(seed=seed, flows=50))
+            ref, want = oracles.RawStream(seed, 2), []
+            for _ in range(50):
+                si, di = ref.integers(n), ref.integers(n - 1)
+                want.append((si, di + (di >= si)))
+            assert [flow[:2] for flow in schedules[-1]] == want
 
 
 class TestMetricsRow:

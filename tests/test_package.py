@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import geo_route_sim
 
@@ -42,3 +44,28 @@ def test_each_export_is_its_home_module_object():
         module = importlib.import_module(f"geo_route_sim.{module_name}")
         for name in module.__all__:
             assert getattr(geo_route_sim, name) is getattr(module, name), name
+
+
+def unused_imports(source: str, exported) -> list[str]:
+    """The names ``source`` imports but never reads and does not list in
+    ``exported``; ``import numpy.random``, which only loads the module, is allowed."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names if alias.name not in ("*", "numpy.random")]
+    return [name for name in bound if name not in read and name not in exported]
+
+
+def test_every_import_is_used():
+    for path in sorted(Path(geo_route_sim.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"geo_route_sim.{path.stem}".removesuffix(".__init__"))
+        assert unused_imports(path.read_text(), getattr(module, "__all__", ())) == [], path.name
+
+
+def test_a_leftover_import_is_caught():
+    netsim = importlib.import_module("geo_route_sim.netsim")
+    source = Path(netsim.__file__).read_text()
+    leftover = source.replace("    route,\n", "    RouteResult,\n    route,\n", 1)
+    assert leftover != source
+    assert unused_imports(leftover, netsim.__all__) == ["RouteResult"]

@@ -228,13 +228,13 @@ class AnalyzeConfig:
         for d in self.densities:
             if not 0 < d < math.inf:
                 raise ValueError(f"densities must be finite and > 0, got {d!r}")
-        if not 0 < self.tx_range < math.inf:
-            raise ValueError(f"tx_range must be finite and > 0, got {self.tx_range!r}")
+        if not (0 < self.tx_range and self.tx_range * self.tx_range < math.inf):  # mean_node_count squares it
+            raise ValueError(f"tx_range must be > 0 with a finite square, got {self.tx_range!r}")
         # Expected points in the Monte Carlo box, which holds the disk.
         box_points = 4.0 * self.tx_range * self.tx_range * max(self.densities)
-        limit = math.inf if self.mc_trials is None else MAX_TRIAL_POINTS
-        if not box_points < limit:
-            raise ValueError(f"densities * (2 * tx_range)**2 must be < {limit}, got {box_points!r}")
+        if self.mc_trials is not None and not box_points < MAX_TRIAL_POINTS:
+            raise ValueError(
+                f"densities * (2 * tx_range)**2 must be < {MAX_TRIAL_POINTS}, got {box_points!r}")
         for d in self.densities:
             # Past these bounds the mean is inf, nan, 0 or a quarter (full / 4) short of the
             # normal doubles' digits, and no tail of it would be right.

@@ -242,7 +242,7 @@ def step_mobility(
     np.minimum(uy, 2.0 * field_height - uy, out=uy)
     moved = NetworkSnapshot.__new__(NetworkSnapshot)
     vars(moved).update(transmission_range=snapshot.transmission_range, x=ux, y=uy, speed=speed,
-                       heading=_wrapped(heading), _headings_in_pi=True)
+                       heading=_wrapped(heading))
     ux.flags.writeable = uy.flags.writeable = heading.flags.writeable = False
     return moved
 

@@ -30,7 +30,8 @@ DEFAULT_TTL = 64
 PROTOCOLS = ("dir", "lar", "dlar")
 
 HALF_PI = math.pi / 2.0
-# turn in [-2pi, 2pi]: |wrap_angle(turn)| <= HALF_PI iff LO <= turn <= HALF_PI or |turn| >= FAR.
+# turn in [-2pi, 2pi]: |wrap_angle(turn)| <= HALF_PI iff LO <= turn <= HALF_PI or |turn| >= FAR;
+# D-LAR wraps a turn past 2pi first, so every turn takes these compares.
 _TURN_LO, _TURN_FAR = float.fromhex("-0x1.921fb54442d1ap+0"), float.fromhex("0x1.2d97c7f3321d2p+2")
 
 # Most entries in one reach matrix of the LAR flood (about 2 MB per float
@@ -45,9 +46,8 @@ class NetworkSnapshot:
     Motion state lives in read-only 1-D numpy columns ``x``, ``y``, ``speed``
     and ``heading`` of one length; vehicle ``i`` is row ``i``.  Positions and
     headings are finite, speeds finite and >= 0.  Numpy columns of the right
-    type are used without a copy and made read-only.  ``_headings_in_pi``,
-    whether every heading lies in [-pi, pi], and ``_trig``, the headings' cos
-    and sin, are found on first use.
+    type are used without a copy and made read-only.  ``_trig``, the headings'
+    cos and sin, is found on first use.
     """
 
     def __init__(self, transmission_range: float, x, y, speed, heading):
@@ -64,10 +64,6 @@ class NetworkSnapshot:
             column.flags.writeable = False
         self.transmission_range = float(transmission_range)
         self.x, self.y, self.speed, self.heading = x, y, speed, heading
-
-    @cached_property
-    def _headings_in_pi(self) -> bool:
-        return bool((np.abs(self.heading) <= math.pi).all())
 
     @cached_property
     def _trig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +199,7 @@ def _next_hops(hops: list) -> list[Optional[int]]:
     except where their ``known`` position is its true one.  With an expected
     zone ``ez`` (D-LAR) they must lie inside the request zone anchored at the
     forwarder, and those heading within pi/2 of it are preferred when there are
-    any (by compares where every D-LAR snapshot's headings lie in [-pi, pi]).  The
+    any: a turn past 2pi is wrapped, and every turn then takes the compares.  The
     winner minimises (deviation angle toward ``dest``, distance to ``dest``, row).
 
     Each entry scans its own snapshot (:func:`_near`); the masks, the angles and
@@ -215,11 +211,8 @@ def _next_hops(hops: list) -> list[Optional[int]]:
     which keeps every candidate.  Each choice is the one its entry gets alone.
     """
     choices: list[Optional[int]] = [None] * len(hops)
-    if not hops:
-        return choices
     order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
-    taken, starts, sizes, rows, xs, ys, rays, zoned, headings = ([] for _ in range(9))
-    total, compares = 0, True
+    taken, rows, xs, ys, rays, zoned, headings = ([] for _ in range(7))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in order:
             snapshot, known, row, dest, skip, ez = hops[i]
@@ -230,9 +223,6 @@ def _next_hops(hops: list) -> list[Optional[int]]:
             if not len(near):
                 continue
             taken.append(i)
-            starts.append(total)
-            sizes.append(len(near))
-            total += len(near)
             rows.append(near)
             xs.append(known.x[near])
             ys.append(known.y[near])
@@ -240,24 +230,26 @@ def _next_hops(hops: list) -> list[Optional[int]]:
             if ez is not None:
                 zoned.append((*_zone_bounds(hx, hy, ez), snapshot.heading.item(row)))
                 headings.append(snapshot.heading[near])
-                compares = compares and snapshot._headings_in_pi
         if not taken:
             return choices
         xy = np.concatenate(xs + ys).reshape(2, -1)  # the candidates' known x and y
-        at, size = np.array(starts), np.array(sizes)
+        size = np.array([len(r) for r in rows])
+        at = size.cumsum() - size  # each entry's first candidate
         fwd = np.array(rays).T.repeat(size, axis=1)  # per candidate: hx, hy, vx, vy
         ne = xy != fwd[:2]
         keep = ne[0] | ne[1]
         if zoned:
             z = len(zoned)
-            m = starts[z - 1] + sizes[z - 1]  # the D-LAR entries' candidates
+            m = at[z - 1] + size[z - 1]  # the D-LAR entries' candidates
             bounds = np.array(zoned).T.repeat(size[:z], axis=1)  # x0, y0, x1, y1, heading
             inside = (bounds[:2] <= xy[:, :m]) & (xy[:, :m] <= bounds[2:4])
             zone = keep[:m]
             zone &= inside[0] & inside[1]
             turn = np.concatenate(headings) - bounds[4]
-            aligned = zone & ((((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR))
-                              if compares else (np.abs(wrap_angle(turn)) <= HALF_PI))
+            far = np.abs(turn) > 2.0 * math.pi  # wrapped into (-pi, pi], where the compares hold
+            if far.any():
+                turn[far] = wrap_angle(turn[far])
+            aligned = zone & (((_TURN_LO <= turn) & (turn <= HALF_PI)) | (np.abs(turn) >= _TURN_FAR))
             zone &= aligned | ~np.logical_or.reduceat(aligned, at[:z]).repeat(size[:z])
         u = np.subtract(xy, fwd[:2], out=xy)
         dot = u * fwd[2:]  # ux vx, uy vy

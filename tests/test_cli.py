@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,30 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--mc-trials", trials)
         assert code == 1
         assert "mc_trials" in err
+
+    # The largest tx_range whose square is finite; tx_range**2 overflows one double up.
+    SQUARE_BOUND = 1.3407807929942596e154
+
+    @pytest.mark.parametrize("tx_range", ["1e154", repr(SQUARE_BOUND)])
+    def test_a_finite_square_runs_without_mc_trials(self, capsys, tx_range):
+        # The means (6.3e304 at the first density) are finite, so every tail is 1;
+        # only the Monte Carlo box, (2 * tx_range)**2 points, is out of reach.
+        assert float(tx_range) ** 2 < math.inf
+        code, out, err = run_cli(capsys, "analyze", f"tx_range={tx_range}")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 40 and {row[-1] for row in rows} == {"1"}
+        code, out, err = run_cli(capsys, "analyze", f"tx_range={tx_range}", "--mc-trials", "10")
+        assert (code, out) == (1, "")
+        assert "densities * (2 * tx_range)**2" in err
+
+    @pytest.mark.parametrize("tx_range", ["1e155", repr(math.nextafter(SQUARE_BOUND, math.inf))])
+    def test_an_overflowing_square_names_tx_range(self, capsys, tx_range):
+        with pytest.raises(OverflowError):
+            float(tx_range) ** 2
+        code, out, err = run_cli(capsys, "analyze", f"tx_range={tx_range}")
+        assert (code, out) == (1, "")
+        assert "tx_range" in err
 
 
 class TestSimulateCommand:

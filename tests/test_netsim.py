@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -509,9 +510,7 @@ class TestCampaignMoves:
         start = generate_nodes(SimConfig(field_width=width, field_height=height,
                                          node_count=4000, seed=22))
         moved = step_mobility(start, t, width, height)
-        assert vars(moved)["_headings_in_pi"] is True  # set by the move, not computed
-        # Rebuilt from its columns, the moved snapshot passes the checks and
-        # finds the flag itself.
+        # Rebuilt from its columns, the moved snapshot passes the checks.
         checked = NetworkSnapshot(moved.transmission_range, *(
             getattr(moved, name).copy() for name in ("x", "y", "speed", "heading")))
         for name in ("x", "y", "heading"):
@@ -520,7 +519,7 @@ class TestCampaignMoves:
             assert not got.flags.writeable
         assert moved.speed is start.speed
         assert moved.transmission_range == start.transmission_range
-        assert moved._headings_in_pi and checked._headings_in_pi
+        assert np.abs(moved.heading).max() <= math.pi  # every heading wrapped
         if t == 60.0:  # many vehicles reflect, on both axes
             assert (moved.heading != start.heading).mean() > 0.2
 
@@ -543,8 +542,7 @@ class TestCampaignMoves:
         for moved in (step_mobility(start, 7.5, width, height),
                       step_mobility(start, 0.5, width, height),
                       beacon_view(start, 1.7, 1.0, width, height)):
-            assert set(vars(moved)) == {"transmission_range", "x", "y", "speed", "heading",
-                                        "_headings_in_pi"}
+            assert set(vars(moved)) == {"transmission_range", "x", "y", "speed", "heading"}
             cos, sin = moved._trig
             TestMotionBits.assert_same_bits(cos, np.cos(moved.heading))
             TestMotionBits.assert_same_bits(sin, np.sin(moved.heading))
@@ -838,6 +836,32 @@ class TestRunCampaign:
         assert many - few <= 540 * 300  # a flow costs its schedule entry, not its results
         monkeypatch.setattr(netsim, "_WINDOW_ROWS", 2**40)  # one window holds every snapshot
         assert peak(200, 100.0) > 24 * 800 * 200 > bound
+
+    def test_a_window_moves_only_after_the_last_one_is_freed(self, monkeypatch):
+        # When a window's first snapshot is built, the snapshots of earlier
+        # windows at times this window does not hold are already freed, so a
+        # campaign never holds two windows of snapshots at once.
+        held, built, dropped = [], [], []
+        windows, step = netsim._windows, netsim.step_mobility
+
+        def recording_windows(*args):
+            for window in windows(*args):
+                held.append({t for flow in window for t in flow[2:]})
+                yield window
+
+        def recording_step(start, t, *field):
+            old = [ref for time, ref in built if time not in held[-1]]
+            assert [ref for ref in old if ref() is not None] == [], len(held)
+            dropped.append(len(old))
+            built.append((t, weakref.ref(moved := step(start, t, *field))))
+            return moved
+
+        monkeypatch.setattr(netsim, "_windows", recording_windows)
+        monkeypatch.setattr(netsim, "step_mobility", recording_step)
+        config = small_config(field_width=2000.0, field_height=2000.0, node_count=800,
+                              tx_range=250.0, flows=200, duration=100.0)
+        run_campaign(config, PROTOCOLS)
+        assert len(held) > 5 and dropped[-1] > 100  # many windows, each checked at its moves
 
     def test_unknown_protocol_rejected_before_placement(self, monkeypatch):
         monkeypatch.setattr(netsim, "generate_nodes", lambda *a: pytest.fail("nodes drawn"))

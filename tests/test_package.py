@@ -69,3 +69,43 @@ def test_a_leftover_import_is_caught():
     leftover = source.replace("    route,\n", "    RouteResult,\n    route,\n", 1)
     assert leftover != source
     assert unused_imports(leftover, netsim.__all__) == ["RouteResult"]
+
+
+def unread_private_names(sources) -> list[str]:
+    """The private top-level names (functions, classes, assignments; not dunders)
+    that the modules ``sources`` define but none of them reads, as a name, an
+    attribute or an import."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text()
+            for path in sorted(Path(geo_route_sim.__file__).parent.glob("*.py"))}
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(package_sources().values()) == []
+
+
+def test_an_orphaned_helper_is_caught():
+    sources = package_sources()
+    sources["netsim"] += "\n\ndef _orphan():\n    pass\n"
+    assert unread_private_names(sources.values()) == ["_orphan"]

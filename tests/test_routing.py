@@ -247,31 +247,35 @@ class TestHeadingIntervals:
         here = -math.pi if turn > 0 else math.pi
         return here, turn + here  # Sterbenz: exact, as is probe - here
 
-    @pytest.mark.parametrize("threshold", THRESHOLDS)
-    @pytest.mark.parametrize("k", range(-3, 4))
-    def test_hop_at_a_threshold_matches_the_wrap(self, threshold, k):
-        # Probe 1 has the worse angle to the destination, row 2 the better one
-        # and the opposite heading: the hop takes 1 exactly when it is aligned.
-        turn = TestRangeAtTheUlp.nudged(threshold, k if threshold > 0 else -k)
-        here, probe = self.forwarder_and_probe(turn)
-        assert probe - here == turn and abs(probe) <= math.pi
+    def assert_hop_matches_the_wrap(self, here, probe):
+        """Probe 1 has the worse angle to the destination, row 2 the better one
+        and the opposite heading: the hop takes 1 exactly when it is aligned."""
         opposite = here - math.pi if here > 0 else here + math.pi
         snap = make_snapshot([(0, 0), (90, 15), (100, 0)], 120,
                              headings={0: here, 1: probe, 2: opposite})
-        assert snap._headings_in_pi
         ez = expected_zone(Position(200, 0), 5.0, 0.0, 4.0)
-        want = oracles.greedy_by_scalar_min(
-            snap, snap, 0, Position(0, 0), here, ez.center, [], request_zone(Position(0, 0), ez)
-        )
-        assert want == (1 if self.by_wrap(turn) else 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a turn of inf wraps to nan
+            want = oracles.greedy_by_scalar_min(
+                snap, snap, 0, Position(0, 0), here, ez.center, [], request_zone(Position(0, 0), ez)
+            )
+            assert want == (1 if self.by_wrap(probe - here) else 2)
         assert dlar_next_hop(0, ez, snap) == want
+        return snap
 
-    def test_the_flag_is_found_on_first_use(self):
-        for headings, in_pi in (({0: 10.0, 1: 0.3}, False), ({0: -math.pi, 1: 0.3}, True)):
-            snap = make_snapshot([(0, 0), (90, 15)], 120, headings=headings)
-            assert "_headings_in_pi" not in vars(snap)  # headings read for finiteness only
-            assert snap._headings_in_pi is in_pi
-            assert vars(snap)["_headings_in_pi"] is in_pi
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_hop_at_a_threshold_matches_the_wrap(self, threshold, k):
+        turn = TestRangeAtTheUlp.nudged(threshold, k if threshold > 0 else -k)
+        here, probe = self.forwarder_and_probe(turn)
+        assert probe - here == turn and abs(probe) <= math.pi
+        snap = self.assert_hop_matches_the_wrap(here, probe)
+        assert np.abs(snap.heading).max() <= math.pi
+        # Turns past 2pi, which only a hand-built snapshot gives, are wrapped
+        # first; the last pair's turn overflows to inf.
+        for j in (1, -1, 2, -2, 1000, -1000):
+            self.assert_hop_matches_the_wrap(0.0, turn + 2 * j * math.pi)
+        for here in (1e308, -1e308):
+            self.assert_hop_matches_the_wrap(here, -here)
 
     def test_moved_headings_take_the_compares(self, monkeypatch):
         # A move wraps every heading into [-pi, pi], so D-LAR's hops on a
@@ -283,9 +287,9 @@ class TestHeadingIntervals:
         start = make_snapshot(points, 150.0,
                               headings={i: rng.choice([10.0, -7.0, 1e6]) for i in range(60)},
                               speeds={i: rng.uniform(0.0, 20.0) for i in range(60)})
-        assert not start._headings_in_pi
+        assert np.abs(start.heading).max() > math.pi
         snap = step_mobility(start, 0.7, 600.0, 600.0)
-        assert snap._headings_in_pi
+        assert np.abs(snap.heading).max() <= math.pi
         hops = []
         for _ in range(40):
             row, dst = rng.sample(range(len(points)), 2)
@@ -313,7 +317,7 @@ class TestHeadingIntervals:
             points = [(rng.uniform(0, 600), rng.uniform(0, 600)) for _ in range(60)]
             snap = make_snapshot(points, 150.0, headings={
                 i: rng.choice(headings) for i in range(len(points))})
-            assert snap._headings_in_pi is in_pi
+            assert bool(np.abs(snap.heading).max() <= math.pi) is in_pi
             wraps.clear()
             for _ in range(40):
                 row, dst = rng.sample(range(len(points)), 2)
@@ -325,6 +329,30 @@ class TestHeadingIntervals:
                 )
                 assert dlar_next_hop(row, ez, snap) == want
             assert bool(wraps) is not in_pi
+
+    def test_one_far_snapshot_leaves_the_rest_of_the_batch_on_the_compares(self, monkeypatch):
+        # One lockstep batch of D-LAR packets on two snapshots: headings in
+        # [-pi, pi] on one, some at 1e6 on the other.  Only the turns past 2pi,
+        # which come from the far headings, are wrapped; every other turn of
+        # each round takes the compares.
+        wraps = []
+        monkeypatch.setattr(routing, "wrap_angle", lambda t: wraps.append(t.copy()) or wrap_angle(t))
+        rng = random.Random(24)
+        snaps = []
+        for far in (False, True):
+            points = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(80)]
+            headings = {i: 1e6 if far and i % 3 == 0 else rng.uniform(-math.pi, math.pi)
+                        for i in range(80)}
+            snaps.append(make_snapshot(points, 220.0, headings=headings,
+                                       speeds={i: rng.uniform(0.0, 25.0) for i in range(80)}))
+        requests = [("dlar", *rng.sample(range(80), 2), snaps[i % 2], 1.0, 64, None, None)
+                    for i in range(80)]
+        together = routing.route_lockstep(requests)
+        assert wraps
+        assert all((np.abs(turn) > 2 * math.pi).all() for turn in wraps)
+        assert sum(r.hop_count > 2 for r in together[::2]) > 5  # the near packets hopped
+        assert [route(*r[:5], ttl=r[5]) for r in requests] == together
+        assert [oracles.route_by_hops(*r) for r in requests] == together
 
 
 class TestDirNextHop:

@@ -47,6 +47,8 @@ class FeasibilityParams:
         for name, value in (("density", self.density), ("tx_range", self.tx_range)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not self.tx_range * self.tx_range < math.inf:  # mean_node_count squares it
+            raise ValueError(f"tx_range must have a finite square, got {self.tx_range!r}")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k!r}")
 

@@ -137,10 +137,10 @@ def _squares(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, 
 def _within(snapshot: NetworkSnapshot, rows, cols) -> np.ndarray:
     """Reach matrix: entry (i, j) says whether ``cols[j]`` lies within exact
     transmission range (see :func:`_squares`) of ``rows[i]``, boundary
-    inclusive (a row reaches itself); ``rows`` and ``cols`` are index arrays."""
+    inclusive (a row reaches itself); ``rows`` and ``cols`` are index arrays.
+    The caller ignores overflow."""
     x, y, reach = snapshot.x, snapshot.y, snapshot.transmission_range
-    with np.errstate(over="ignore"):
-        d2, lo, hi = _squares(reach, x[cols] - x[rows, None], y[cols] - y[rows, None])
+    d2, lo, hi = _squares(reach, x[cols] - x[rows, None], y[cols] - y[rows, None])
     inside = d2 <= hi
     edge = inside & (d2 >= lo)
     if edge.any():
@@ -202,24 +202,31 @@ def _next_hops(hops: list) -> list[Optional[int]]:
     any: a turn past 2pi is wrapped, and every turn then takes the compares.  The
     winner minimises (deviation angle toward ``dest``, distance to ``dest``, row).
 
-    Each entry scans its own snapshot (:func:`_near`); the masks, the angles and
-    each entry's least angle are then found for all entries at once, D-LAR's
-    first.  The angles are arrays of the products :func:`deviation_angle` forms,
-    and numpy's ``arctan2`` may differ from ``math.atan2`` by an ulp, so the
-    candidates within a relative 2**-40 (plus 2**-1000) of their entry's least
-    angle are settled by the exact scalar key; an overflow makes the cut NaN,
-    which keeps every candidate.  Each choice is the one its entry gets alone.
+    Each distinct (snapshot, row, skip) is scanned once (:func:`_near`), so a
+    flow's DIR and D-LAR packets on one forwarder with one path share the
+    neighbor rows; each entry still gathers its own ``known`` positions.  The
+    masks, the angles and each entry's least angle are then found for all
+    entries at once, D-LAR's first.  The angles are arrays of the products
+    :func:`deviation_angle` forms, and numpy's ``arctan2`` may differ from
+    ``math.atan2`` by an ulp, so the candidates within a relative 2**-40 (plus
+    2**-1000) of their entry's least angle are settled by the exact scalar key;
+    an overflow makes the cut NaN, which keeps every candidate.  Each choice is
+    the one its entry gets alone.
     """
     choices: list[Optional[int]] = [None] * len(hops)
     order = sorted(range(len(hops)), key=lambda i: hops[i][5] is None)  # D-LAR entries first
     taken, rows, xs, ys, rays, zoned, headings = ([] for _ in range(7))
+    scans = {}  # every snapshot of hops is alive for the call, so its id is unique
     with np.errstate(over="ignore", invalid="ignore"):
         for i in order:
             snapshot, known, row, dest, skip, ez = hops[i]
             hx, hy = snapshot.x.item(row), snapshot.y.item(row)
             if dest.x == hx and dest.y == hy:
                 raise ValueError("destination position coincides with the forwarder")
-            near = _near(snapshot, hx, hy, skip)
+            key = (id(snapshot), row, tuple(skip))
+            near = scans.get(key)
+            if near is None:
+                near = scans[key] = _near(snapshot, hx, hy, skip)
             if not len(near):
                 continue
             taken.append(i)
@@ -328,7 +335,8 @@ def lar_route_discovery(
     is computed in blocks of relays against the unreached zone relays and
     the destination at once, which keeps that order: a vehicle outside the
     zone never relays, so reaching it changes nothing unless it is the
-    destination.  The request zone covers the destination's
+    destination; a block of one relay takes its reached rows as they come,
+    with no sort.  The request zone covers the destination's
     expected zone ``ez``.  ``ttl`` (> 0) bounds the number of levels: a flood
     cut while zone relays still hold the request is a ``ttl_drop``.  There is
     no fallback to unrestricted flooding: an out-of-zone cut is reported as
@@ -348,31 +356,38 @@ def lar_route_discovery(
     unreached = cand.nonzero()[0]
     parent = np.full(len(snapshot), -1)  # -1: not reached yet
     frontier = np.array([src])
-    for _ in range(ttl):
-        if not len(frontier):
-            break  # no relay holds the request: zone_unreachable at any ttl
-        level = []
-        start = 0
-        while start < len(frontier) and len(unreached):
-            stop = start + max(1, _FLOOD_BLOCK_ENTRIES // len(unreached))
-            block = frontier[start:stop]
-            reach = _within(snapshot, block, unreached)
-            hit = reach.any(axis=0)
-            # Each reached row's parent is its first relay in reach order;
-            # sorting stably by it keeps ascending ids within one relay.
-            first = reach.argmax(axis=0)[hit]
-            order = np.argsort(first, kind="stable")
-            new = unreached[hit][order]
-            parent[new] = block[first[order]]
-            if parent[dst] >= 0:
-                path = [dst]
-                while path[-1] != src:
-                    path.append(int(parent[path[-1]]))
-                return RouteResult(Outcome.DELIVERED, tuple(path[::-1]))
-            unreached = unreached[~hit]
-            level.append(new)  # dst is not among them, so all are relays
-            start = stop
-        frontier = np.concatenate(level) if level else frontier[:0]
+    with np.errstate(over="ignore"):  # an overflowing difference lies far out of range
+        for _ in range(ttl):
+            if not len(frontier):
+                break  # no relay holds the request: zone_unreachable at any ttl
+            level = []
+            start = 0
+            while start < len(frontier) and len(unreached):
+                stop = start + max(1, _FLOOD_BLOCK_ENTRIES // len(unreached))
+                block = frontier[start:stop]
+                reach = _within(snapshot, block, unreached)
+                if len(block) == 1:
+                    hit = reach[0]
+                    new = unreached[hit]
+                    parent[new] = block[0]
+                else:
+                    # Each reached row's parent is its first relay in reach order;
+                    # sorting stably by it keeps ascending ids within one relay.
+                    first = reach.argmax(axis=0)
+                    hit = reach[first, np.arange(len(unreached))]
+                    first = first[hit]
+                    order = np.argsort(first, kind="stable")
+                    new = unreached[hit][order]
+                    parent[new] = block[first[order]]
+                if parent[dst] >= 0:
+                    path = [dst]
+                    while path[-1] != src:
+                        path.append(int(parent[path[-1]]))
+                    return RouteResult(Outcome.DELIVERED, tuple(path[::-1]))
+                unreached = unreached[~hit]
+                level.append(new)  # dst is not among them, so all are relays
+                start = stop
+            frontier = np.concatenate(level) if level else frontier[:0]
     outcome = Outcome.TTL_DROP if len(frontier) else Outcome.ZONE_UNREACHABLE
     return RouteResult(outcome, (src,))
 

@@ -77,6 +77,14 @@ class TestMeanNodeCount:
             with pytest.raises(ValueError, match="tx_range"):
                 FeasibilityParams(0.1, bad)
 
+    def test_a_tx_range_whose_square_overflows_is_rejected(self):
+        edge = 1.3407807929942596e154  # the largest range with a finite square
+        for bad in (1e155, math.nextafter(edge, math.inf)):
+            with pytest.raises(ValueError, match="tx_range"):
+                FeasibilityParams(1e-10, bad)
+        params = FeasibilityParams(1e-10, edge)
+        assert mean_node_count(params, RegionKind.FULL_CIRCLE) < math.inf
+
 
 class TestPoissonPmf:
     def test_zero_count_unit_mean(self):

@@ -100,7 +100,8 @@ class TestNeighbors:
         positions = [Position(x, y) for x, y in zip(snap.x.tolist(), snap.y.tolist())]
         rows, cols = np.arange(len(fixed)), np.arange(len(positions))
         want = np.array([[distance(positions[i], b) <= reach for b in positions] for i in rows])
-        assert np.array_equal(routing._within(snap, rows, cols), want)
+        with np.errstate(over="ignore"):  # as the flood calls it
+            assert np.array_equal(routing._within(snap, rows, cols), want)
         for i in rows.tolist():
             assert neighbors(i, snap) == [j for j in cols.tolist() if j != i and want[i, j]]
         if math.isfinite(reach):
@@ -170,7 +171,8 @@ class TestRangeAtTheUlp:
         want = np.array([[math.hypot(bx - ax, by - ay) <= reach for bx, by in zip(x, y)]
                          for ax, ay in zip(x, y)])
         rows = np.arange(len(points))
-        assert np.array_equal(routing._within(snap, rows, rows), want)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(routing._within(snap, rows, rows), want)
         for i in rows.tolist():
             near = [j for j in rows.tolist() if j != i and want[i, j]]
             assert neighbors(i, snap) == near
@@ -672,6 +674,25 @@ class TestLarRouteDiscovery:
                 outcomes.add(result.outcome)
         assert outcomes == {Outcome.DELIVERED, Outcome.TTL_DROP, Outcome.ZONE_UNREACHABLE}
 
+    def test_an_overflowing_field_matches_the_per_relay_flood(self):
+        # Coordinates up to ±1.7e308, so the flood's differences overflow to inf,
+        # which lies out of any finite range; the flood ignores that overflow.
+        rng = random.Random(1729)
+        outcomes, relayed = set(), 0
+        for _ in range(40):
+            n = rng.randint(2, 80)
+            points = [(rng.uniform(-1.7, 1.7) * 1e308, rng.uniform(-1.7, 1.7) * 1e308) for _ in range(n)]
+            snap = make_snapshot(points, rng.uniform(3e307, 1.2e308))
+            src, dst = rng.choice(range(n)), rng.choice(range(n))
+            ez = expected_zone(position(snap, dst), rng.choice([0.0, 1e307, 1.7e308]), 0.0, 1.0)
+            for ttl in (1, 2, 3, 5, 64):
+                result = lar_route_discovery(src, dst, snap, ez, ttl)
+                assert result == oracles.lar_flood_by_relay(src, dst, snap, ez, ttl)
+                outcomes.add(result.outcome)
+                relayed += result.hop_count > 1
+        assert outcomes == {Outcome.DELIVERED, Outcome.TTL_DROP, Outcome.ZONE_UNREACHABLE}
+        assert relayed > 5
+
     def test_source_equals_destination(self):
         # route() answers this case itself; the flood must answer it too.
         snap = make_snapshot([(0, 0), (50, 0), (500, 0)], 100)
@@ -878,6 +899,40 @@ class TestLockstep:
         assert max(batches) > 20
         assert len(batches) <= max(chosen) + 1
         assert sum(batches) >= sum(chosen)
+
+    def test_a_round_scans_each_forwarder_and_path_once(self, monkeypatch):
+        # A flow's DIR and D-LAR packets share a snapshot and view, so they stand
+        # on one forwarder with one path until their choices part; packets that
+        # reach one forwarder by different paths are scanned apart.
+        rng = random.Random(34)
+        requests = []
+        for kind in ("uniform", "lattice", "sparse", "huge") * 3:
+            snap, known, now, known_time = self.field(rng, kind)
+            dst = rng.randrange(len(snap))  # shared, so that paths meet on the way
+            for src in rng.sample(range(len(snap)), min(len(snap), 8)):
+                ttl = rng.choice([3, 64])
+                requests += [(p, src, dst, snap, now, ttl, known, known_time) for p in ("dir", "dlar")]
+        alone = [route(*r[:5], ttl=r[5], known=r[6], known_time=r[7]) for r in requests]
+        assert alone == [oracles.route_by_hops(*r) for r in requests]
+        rounds = []
+        near, next_hops = routing._near, routing._next_hops
+
+        def scan(snapshot, hx, hy, skip):
+            rounds[-1][1].append((id(snapshot), tuple(skip)))
+            return near(snapshot, hx, hy, skip)
+
+        def choose(hops):
+            rounds.append(([(id(h[0]), tuple(h[4])) for h in hops], []))
+            return next_hops(hops)
+
+        monkeypatch.setattr(routing, "_near", scan)
+        monkeypatch.setattr(routing, "_next_hops", choose)
+        assert routing.route_lockstep(requests) == alone
+        for entries, scans in rounds:
+            assert sorted(scans) == sorted(set(entries))  # each (snapshot, row, path) once
+        assert sum(len(s) for _, s in rounds) < 0.8 * sum(len(e) for e, _ in rounds)
+        # Some round holds packets on one forwarder with different paths.
+        assert any(len({(s, p[-1]) for s, p in set(e)}) < len(set(e)) for e, _ in rounds)
 
     def test_lar_requests_route_alone(self):
         rng = random.Random(33)

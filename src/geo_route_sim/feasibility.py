@@ -20,10 +20,8 @@ __all__ = [
     "mean_node_count", "monte_carlo_at_least_k", "poisson_pmf", "prob_at_least_k",
 ]
 
-# Most expected points per Monte Carlo trial; bounds the work of one trial.
-MAX_TRIAL_POINTS = 1_000_000
 # Most expected slots in one Monte Carlo draw, each trial's count plus the
-# points of its box; bounds the work of one draw, which streams its points.
+# points of its box; region_counts refuses a draw past it, bounding its work.
 MAX_DRAW_POINTS = 50_000_000
 # Most rows of one analyze table, len(densities) * 2 * k_max.
 MAX_ANALYZE_ROWS = 1_000_000
@@ -141,15 +139,20 @@ def region_counts(
     ``_BLOCK_POINTS`` of the trial ends a block covers, however sparse the
     draw.  The call touches no state outside its own arrays
     and generators, and numpy releases the GIL while it draws, so draws on
-    different threads run at once.
+    different threads run at once.  Before any draw, a ``ValueError`` naming
+    ``trials`` and ``tx_range`` is raised unless ``1 <= trials <= MAX_DRAW_POINTS
+    / (1 + density * side**2)``, the box's side being ``2 * tx_range`` (full
+    circle) or ``tx_range`` (quarter); a box whose points overflow admits none.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    rng = np.random.default_rng(seed)
     r = params.tx_range
     low, high = (-r, r) if region is RegionKind.FULL_CIRCLE else (0.0, r)
-    box_area = (high - low) ** 2
-    ends = rng.poisson(params.density * box_area, size=trials)
+    box_points = params.density * ((high - low) * (high - low))  # inf past the doubles; ** 2 raises
+    if not 1 <= trials <= MAX_DRAW_POINTS / (1.0 + box_points):
+        raise ValueError(f"trials must be in [1, {MAX_DRAW_POINTS} / (1 + {box_points:.6g} box "
+                         f"points)] at tx_range {r!r}, density {params.density!r}; got {trials!r}")
+    rng = np.random.default_rng(seed)
+    # The mean keeps ** 2, which can round apart from x * x; the draws rest on its bits.
+    ends = rng.poisson(params.density * (high - low) ** 2, size=trials)
     np.cumsum(ends, out=ends)
     total = int(ends[-1])
     # Each uniform double takes exactly one 64-bit output, so a copy of the
@@ -208,7 +211,7 @@ def monte_carlo_at_least_k(
     """Estimate P(at least k candidates in the region) from a simulated field.
 
     The share of ``region_counts`` trials holding at least ``params.k``
-    points, with its binomial standard error.
+    points, with its binomial standard error; ``region_counts`` bounds ``trials``.
     """
     hits = np.count_nonzero(region_counts(params, region, trials, seed) >= params.k)
     return _estimate(hits, trials)
@@ -232,11 +235,6 @@ class AnalyzeConfig:
                 raise ValueError(f"densities must be finite and > 0, got {d!r}")
         if not (0 < self.tx_range and self.tx_range * self.tx_range < math.inf):  # mean_node_count squares it
             raise ValueError(f"tx_range must be > 0 with a finite square, got {self.tx_range!r}")
-        # Expected points in the Monte Carlo box, which holds the disk.
-        box_points = 4.0 * self.tx_range * self.tx_range * max(self.densities)
-        if self.mc_trials is not None and not box_points < MAX_TRIAL_POINTS:
-            raise ValueError(
-                f"densities * (2 * tx_range)**2 must be < {MAX_TRIAL_POINTS}, got {box_points!r}")
         for d in self.densities:
             # Past these bounds the mean is inf, nan, 0 or a quarter (full / 4) short of the
             # normal doubles' digits, and no tail of it would be right.
@@ -250,13 +248,13 @@ class AnalyzeConfig:
         if not 1 <= self.k_max <= max_k:
             raise ValueError(f"k_max must be in [1, {max_k}], got {self.k_max!r}")
         if self.mc_trials is not None:
-            if self.mc_trials < 1:
-                raise ValueError(f"mc_trials must be >= 1, got {self.mc_trials!r}")
+            # region_counts' bound at the fullest box: the full circle's, 2 * tx_range wide.
+            box_points = 4.0 * self.tx_range * self.tx_range * max(self.densities)
             max_trials = int(MAX_DRAW_POINTS / (1.0 + box_points))
-            if self.mc_trials > max_trials:
+            if not 1 <= self.mc_trials <= max_trials:
                 raise ValueError(
-                    f"mc_trials must be <= {max_trials} with {box_points:.6g} points per trial, "
-                    f"got {self.mc_trials!r}"
+                    f"mc_trials must be in [1, {max_trials}] with {box_points:.6g} expected points "
+                    f"per trial box (densities * (2 * tx_range)**2), got {self.mc_trials!r}"
                 )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
@@ -335,8 +333,9 @@ def analyze_csv(config: AnalyzeConfig) -> str:
         def draw(i: int) -> None:
             params, region = curves[i]
             counts = region_counts(params, region, config.mc_trials, int(mc_seeds[i]))
+            np.minimum(counts, config.k_max, out=counts)  # the tally stays k_max + 1 long
             tally = np.bincount(counts, minlength=config.k_max + 1)
-            at_least[i] = np.cumsum(tally[::-1])[::-1][: config.k_max + 1]
+            at_least[i] = np.cumsum(tally[::-1])[::-1]
 
         # The box holds the region at a fixed 4 / pi of its area, so the mean
         # orders the curves by expected box points, the work of a draw.

@@ -271,6 +271,9 @@ def beacon_view(
     if not math.isfinite(sim_time):
         raise ValueError(f"sim_time must be finite, got {sim_time!r}")
     _check_positive(beacon_interval=beacon_interval, **_field_sizes(field_width, field_height))
+    if not math.isfinite(sim_time / beacon_interval):  # _beacon_tick floors it
+        raise ValueError(
+            f"sim_time / beacon_interval must be finite, got {sim_time!r} / {beacon_interval!r}")
     lag = sim_time - _beacon_tick(sim_time, beacon_interval)
     return step_mobility(snapshot, -lag, field_width, field_height) if lag else snapshot
 

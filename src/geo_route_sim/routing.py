@@ -113,10 +113,9 @@ def _squares(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, 
     [2**-500, 2**500], R² and the band are normal, and an unscaled square rounds as a
     scaled one, overflows to inf far out of range, or is subnormal and errs by at most
     2**-1075 (2**-74 R²), inside the band.  Outside that span, with ``R = m * 2**e``
-    (``0.5 <= m < 1``), the differences are multiplied by the double ``2**-e``, so R²
-    becomes ``m**2`` and can neither overflow nor go subnormal; the product rounds the
-    exact ``d * 2**-e`` once, as ``ldexp`` does, which scales below R = 2**-1024, where
-    ``2**-e`` is no double.  A square errs by at most 3 ulps, against the 1 ulp of
+    (``0.5 <= m < 1``), the differences are scaled by ``2**-e`` with ``ldexp``, which
+    rounds the exact ``d * 2**-e`` once, so R² becomes ``m**2`` and can neither
+    overflow nor go subnormal.  A square errs by at most 3 ulps, against the 1 ulp of
     ``math.hypot``, so the two can disagree only within a relative 2**-50 of R²; pairs
     within 2**-48 of it are settled by :func:`distance`.  Below the normal range an ulp
     of ``math.hypot`` is 2**-1074 however small R is, and the band widens to match.  The
@@ -125,11 +124,8 @@ def _squares(reach: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, 
     band = max(2.0**-48, 2.0**-1070 / reach)
     if not 2.0**-500 <= reach <= 2.0**500:
         reach, e = math.frexp(reach)  # reach becomes m, the range scaled into [0.5, 1)
-        for d in (dx, dy):
-            if e > -1024:
-                d *= math.ldexp(1.0, -e)
-            else:
-                np.ldexp(d, -e, out=d)
+        np.ldexp(dx, -e, out=dx)
+        np.ldexp(dy, -e, out=dy)
     d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
     return d2, reach * reach * (1.0 - band), reach * reach * (1.0 + band)
 

@@ -121,6 +121,21 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "mc_trials" in err
 
+    def test_a_box_of_millions_of_points_runs_with_few_trials(self, capsys):
+        # 4,000,000 expected points per trial box leave room for int(5e7 / (1 + 4e6)) = 12
+        # trials in one draw.
+        argv = ["analyze", "densities=1", "tx_range=1000", "k_max=3"]
+        code, out, err = run_cli(capsys, *argv, "--mc-trials", "2")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "density,k,region,probability,mc_estimate,mc_stderr"
+        assert len(lines) == 1 + 6 and all(len(line.split(",")) == 6 for line in lines)
+        config = AnalyzeConfig(densities=(1.0,), tx_range=1000.0, k_max=3, mc_trials=12)
+        config.validate()
+        config.mc_trials = 13
+        with pytest.raises(ValueError, match="mc_trials"):
+            config.validate()
+
     # The largest tx_range whose square is finite; tx_range**2 overflows one double up.
     SQUARE_BOUND = 1.3407807929942596e154
 

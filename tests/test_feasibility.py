@@ -221,6 +221,54 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_at_least_k(FeasibilityParams(0.1, 10.0), RegionKind.FULL_CIRCLE, 0, 1)
 
+    @staticmethod
+    def refuse_to_draw(monkeypatch):
+        """Make seeding a generator raise ``Drawn``, so a call that gets past
+        its checks stops before it draws anything."""
+
+        class Drawn(Exception):
+            pass
+
+        def seeded(*args):
+            raise Drawn
+
+        monkeypatch.setattr(np.random, "default_rng", seeded)
+        return Drawn
+
+    # The 2 * tx_range box overflows at the largest tx_range with a finite square, and
+    # holds 4e190 points, past numpy's Poisson, at 1e100.
+    @pytest.mark.parametrize("tx_range", [1.3407807929942596e154, 1e100])
+    @pytest.mark.parametrize("call", [region_counts, monte_carlo_at_least_k])
+    def test_a_box_past_the_draw_bound_names_tx_range(self, monkeypatch, call, tx_range):
+        self.refuse_to_draw(monkeypatch)
+        with pytest.raises(ValueError, match="tx_range"):
+            call(FeasibilityParams(1e-10, tx_range), RegionKind.FULL_CIRCLE, 10, 1)
+
+    @pytest.mark.parametrize(
+        "density, tx_range", [(1.0, 1000.0), (0.0004, 250.0), (1e-12, 250.0), (3.7e-3, 91.3)]
+    )
+    def test_the_draw_bound_is_analyze_configs_bound(self, monkeypatch, density, tx_range):
+        # The largest mc_trials that AnalyzeConfig accepts reaches the full circle's
+        # draw, and one trial more is refused by the draw itself.
+        drawn = self.refuse_to_draw(monkeypatch)
+        limit = int(MAX_DRAW_POINTS / (1.0 + 4.0 * tx_range * tx_range * density))
+        AnalyzeConfig(densities=(density,), tx_range=tx_range, mc_trials=limit).validate()
+        params = FeasibilityParams(density, tx_range)
+        with pytest.raises(drawn):
+            region_counts(params, RegionKind.FULL_CIRCLE, limit, 1)
+        with pytest.raises(ValueError, match="trials"):
+            region_counts(params, RegionKind.FULL_CIRCLE, limit + 1, 1)
+
+    def test_trials_up_to_the_draw_bound_are_drawn(self, monkeypatch):
+        # With the bound scaled down, the largest trial count it allows runs to the end.
+        monkeypatch.setattr(feasibility, "MAX_DRAW_POINTS", 1000)
+        params = FeasibilityParams(1.0, 5.0)  # 100 points in the 10 m box: 9 trials
+        for region, limit in ((RegionKind.FULL_CIRCLE, 9), (RegionKind.QUARTER_CIRCLE, 38)):
+            counts = region_counts(params, region, limit, 3)
+            assert np.array_equal(counts, one_shot_counts(params, region, limit, 3))
+            with pytest.raises(ValueError, match="trials"):
+                region_counts(params, region, limit + 1, 3)
+
     @pytest.mark.parametrize("region", list(RegionKind))
     def test_region_counts_equal_the_plain_expression(self, region):
         # The draw squares and adds in place; the counts equal the plain
@@ -397,6 +445,19 @@ class TestAnalyzeMonteCarlo:
         for rows in self.mc_columns().values():
             estimates = [float(estimate) for _, estimate, _ in rows]
             assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+
+    def test_tallies_do_not_grow_with_the_box(self):
+        # 4,000,000 expected points per full-circle box; a tally of every count
+        # up to the largest would hold some 3,100,000 entries per curve.
+        config = AnalyzeConfig(densities=(1.0,), tx_range=1000.0, k_max=3, mc_trials=2)
+        tracemalloc.start()
+        try:
+            lines = analyze_csv(config).splitlines()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lines) == 1 + 6
+        assert peak < 8_000_000
 
     def test_one_draw_per_density_and_region(self, monkeypatch):
         calls = []

@@ -613,6 +613,8 @@ class TestBeaconView:
             ((1.0, 1.0, math.inf, 1000.0), "field_width"),  # checked without a lag too
             ((1.5, 1.0, 1000.0, 0.0), "field_height"),
             ((1.5, 1.0, 1000.0, -math.inf), "field_height"),
+            ((1e300, 1e-10, 1000.0, 1000.0), "sim_time / beacon_interval"),  # OverflowError before
+            ((-1e308, 1e-300, 1000.0, 1000.0), "sim_time / beacon_interval"),
         ],
     )
     def test_rejects_bad_arguments_naming_them(self, args, name):
